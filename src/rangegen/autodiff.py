@@ -69,12 +69,6 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def detach(self):
-        return Tensor(self.data)
-
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar, got shape {self.shape}")
@@ -455,8 +449,8 @@ def upsample2x(x):
 
 
 # ---------------------------------------------------------------------------
-# Sequential linear recurrence (selective-scan core), backed by the
-# numba/numpy kernel pair in `backend`.
+# Sequential linear recurrence (selective-scan core), backed by the numpy
+# kernel pair in `backend`.
 # ---------------------------------------------------------------------------
 
 def recurrence(abar, q):

@@ -1,40 +1,12 @@
-"""Hot numeric kernels with numba acceleration and a pure-numpy fallback.
-
-The backend is chosen once at import time from the environment variable
-``RANGEGEN_BACKEND``:
-
-* ``auto`` (default) -- use numba if it imports, else numpy
-* ``numba``          -- require numba, fail loudly if missing
-* ``numpy``          -- force the pure-numpy reference path
-
-Both implementations of every kernel are always importable by name
-(``scan_forward_numpy`` etc.) so the benchmark in ``benchmarks/`` can
-time them side by side regardless of the selected default.
-"""
-
-import os
+"""Numpy kernels for the scan recurrence and nearest-return rasterization."""
 
 import numpy as np
 
-_CHOICE = os.environ.get("RANGEGEN_BACKEND", "auto").lower()
-if _CHOICE not in ("auto", "numba", "numpy"):
-    raise RuntimeError(
-        f"RANGEGEN_BACKEND must be auto|numba|numpy, got {_CHOICE!r}"
-    )
-
-if _CHOICE in ("auto", "numba"):
-    try:
-        import numba
-
-        HAVE_NUMBA = True
-    except ImportError:
-        if _CHOICE == "numba":
-            raise
-        HAVE_NUMBA = False
-else:
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA
+# There is no compiled backend. The flag and this module stay because the
+# benchmark reads them: perfbench/run.py prints `backend.USE_NUMBA` in its
+# `env` line, perfbench/spans.py lists `backend` in MODULES, and
+# `backend.scan_forward` / `backend.scan_backward` are traced per-layer metrics.
+USE_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +14,7 @@ USE_NUMBA = HAVE_NUMBA
 # the selective scan; everything around it is vectorized numpy).
 # ---------------------------------------------------------------------------
 
-def scan_forward_numpy(abar, q):
+def scan_forward(abar, q):
     B, L, C = q.shape
     h = np.empty_like(q)
     prev = np.zeros((B, C), dtype=q.dtype)
@@ -52,7 +24,7 @@ def scan_forward_numpy(abar, q):
     return h
 
 
-def scan_backward_numpy(abar, h, gh):
+def scan_backward(abar, h, gh):
     """Backward of the recurrence.
 
     Returns (d_abar, d_q) given upstream gradient gh w.r.t. h.
@@ -72,56 +44,12 @@ def scan_backward_numpy(abar, h, gh):
     return dabar, dq
 
 
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _scan_forward_jit(abar, q, h):
-        B, L, C = q.shape
-        for b in range(B):
-            for c in range(C):
-                prev = 0.0 * q[b, 0, c]
-                for s in range(L):
-                    prev = abar[b, s, c] * prev + q[b, s, c]
-                    h[b, s, c] = prev
-
-    @numba.njit(cache=True)
-    def _scan_backward_jit(abar, h, gh, dabar, dq):
-        B, L, C = h.shape
-        for b in range(B):
-            for c in range(C):
-                acc = 0.0 * h[b, 0, c]
-                for s in range(L - 1, -1, -1):
-                    acc = gh[b, s, c] + acc
-                    dq[b, s, c] = acc
-                    if s > 0:
-                        dabar[b, s, c] = acc * h[b, s - 1, c]
-                    else:
-                        dabar[b, s, c] = 0.0
-                    acc = abar[b, s, c] * acc
-
-    def scan_forward_numba(abar, q):
-        abar = np.ascontiguousarray(abar)
-        q = np.ascontiguousarray(q)
-        h = np.empty_like(q)
-        _scan_forward_jit(abar, q, h)
-        return h
-
-    def scan_backward_numba(abar, h, gh):
-        abar = np.ascontiguousarray(abar)
-        h = np.ascontiguousarray(h)
-        gh = np.ascontiguousarray(gh)
-        dabar = np.empty_like(h)
-        dq = np.empty_like(h)
-        _scan_backward_jit(abar, h, gh, dabar, dq)
-        return dabar, dq
-
-
 # ---------------------------------------------------------------------------
 # Nearest-return rasterization: per-pixel minimum range with lowest-index
 # tie-break over N projected points.
 # ---------------------------------------------------------------------------
 
-def rasterize_numpy(px_v, px_u, ranges, height, width):
+def rasterize_points(px_v, px_u, ranges, height, width):
     """Return (best_range, best_index) grids; best_index -1 where empty."""
     n = ranges.shape[0]
     pix = px_v.astype(np.int64) * width + px_u.astype(np.int64)
@@ -136,38 +64,3 @@ def rasterize_numpy(px_v, px_u, ranges, height, width):
     best_r[pix[win]] = ranges[win]
     best_i[pix[win]] = win
     return best_r.reshape(height, width), best_i.reshape(height, width)
-
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _rasterize_jit(px_v, px_u, ranges, best_r, best_i):
-        n = ranges.shape[0]
-        for i in range(n):
-            v = px_v[i]
-            u = px_u[i]
-            if best_i[v, u] < 0 or ranges[i] < best_r[v, u]:
-                best_r[v, u] = ranges[i]
-                best_i[v, u] = i
-
-    def rasterize_numba(px_v, px_u, ranges, height, width):
-        best_r = np.zeros((height, width), dtype=ranges.dtype)
-        best_i = np.full((height, width), -1, dtype=np.int64)
-        _rasterize_jit(
-            np.ascontiguousarray(px_v.astype(np.int64)),
-            np.ascontiguousarray(px_u.astype(np.int64)),
-            np.ascontiguousarray(ranges),
-            best_r,
-            best_i,
-        )
-        return best_r, best_i
-
-
-if USE_NUMBA:
-    scan_forward = scan_forward_numba
-    scan_backward = scan_backward_numba
-    rasterize_points = rasterize_numba
-else:
-    scan_forward = scan_forward_numpy
-    scan_backward = scan_backward_numpy
-    rasterize_points = rasterize_numpy

@@ -5,6 +5,7 @@ count u32, then per buffer: name length u16 + UTF-8 name, rank u8,
 extents u32 each, float32 row-major payload.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -34,25 +35,33 @@ def write_checkpoint(path, buffers):
 def read_checkpoint(path):
     """Read an OLCK file; returns dict of name -> float32 ndarray."""
     with open(path, "rb") as f:
-        raw = f.read()
+        raw = memoryview(f.read())
     if raw[:4] != MAGIC:
         raise ConfigError(f"{path}: not an OLCK checkpoint")
-    version, count = struct.unpack_from("<HI", raw, 4)
+    off = 4
+
+    def take(size):
+        nonlocal off
+        if off + size > len(raw):
+            raise ConfigError(f"{path}: truncated OLCK checkpoint "
+                              f"({len(raw)} bytes, needs {off + size})")
+        off += size
+        return raw[off - size : off]
+
+    version, count = struct.unpack("<HI", take(6))
     if version != VERSION:
         raise ConfigError(f"{path}: unsupported OLCK version {version}")
-    off = 10
     out = {}
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", raw, off)
-        off += 2
-        name = raw[off : off + nlen].decode("utf-8")
-        off += nlen
-        (rank,) = struct.unpack_from("<B", raw, off)
-        off += 1
-        shape = struct.unpack_from(f"<{rank}I", raw, off)
-        off += 4 * rank
-        n = int(np.prod(shape)) if rank else 1
-        arr = np.frombuffer(raw, dtype="<f4", count=n, offset=off).reshape(shape)
-        off += 4 * n
-        out[name] = arr.copy()
+        (nlen,) = struct.unpack("<H", take(2))
+        try:
+            name = bytes(take(nlen)).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ConfigError(f"{path}: buffer name is not UTF-8") from None
+        (rank,) = struct.unpack("<B", take(1))
+        shape = struct.unpack(f"<{rank}I", take(4 * rank))
+        payload = take(4 * math.prod(shape))
+        out[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+    if off != len(raw):
+        raise ConfigError(f"{path}: {len(raw) - off} bytes after the last buffer")
     return out

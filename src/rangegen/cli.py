@@ -60,34 +60,24 @@ class RunConfig:
     base_quadruped_index: str = ""
     toy: bool = False
     toy_scans: int = 48
-    threads: int = 1
 
-
-TOY_PRESET = {
-    "image_height": 16, "image_width": 64, "schedule_t": 64,
-    "sampler_steps": 64, "batch_size": 8, "lr": 1e-3, "train_steps": 1500,
-    "widths": (8, 16), "attn_stages": (2,), "cdfm_stages": (2,),
-    "time_width": 32, "cond_dim": 16, "dk": 8, "data_dir": "data/toy",
-}
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 
 
 def _coerce(key, value):
+    """Typed value of one config entry; ValueError if it does not parse."""
     kind = _FIELD_TYPES[key]
-    value = value.strip()
-    if kind is bool or isinstance(getattr(RunConfig, key, None), bool):
+    if kind is bool:
         if value.lower() in ("1", "true", "yes", "on"):
             return True
         if value.lower() in ("0", "false", "no", "off"):
             return False
-        raise ConfigError(f"config key {key}: expected boolean, got {value!r}")
-    if kind is int:
-        return int(value)
-    if kind is float:
-        return float(value)
+        raise ValueError("expected a boolean")
     if kind is tuple:
         return tuple(int(x) for x in value.split(",") if x.strip())
+    if kind in (int, float):
+        return kind(value)
     return value
 
 
@@ -109,14 +99,19 @@ def parse_config(path, overrides=None):
             key = key.strip()
             if key not in _FIELD_TYPES:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _coerce(key, raw)
+            raw = raw.strip()
+            try:
+                values[key] = _coerce(key, raw)
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: config key {key!r}: "
+                                  f"bad value {raw!r} ({exc})") from None
     if overrides:
         for key, value in overrides.items():
             if key not in _FIELD_TYPES:
                 raise ConfigError(f"unknown config key {key!r}")
             values[key] = value
     if values.get("toy"):
-        for key, preset in TOY_PRESET.items():
+        for key, preset in toy.TOY_PRESET.items():
             values.setdefault(key, preset)
     return RunConfig(**values)
 
@@ -326,10 +321,7 @@ def _histograms_from_dir(path):
         raise ConfigError(f"no OLRI files in {path}")
     hists = []
     for f in files:
-        try:
-            img = geometry.read_olri(f)
-        except ConfigError as exc:
-            raise ConfigError(str(exc)) from exc
+        img = geometry.read_olri(f)
         hist = metrics.bev_histogram(geometry.unproject(img))
         if hist.empty:
             raise ConfigError(f"{f}: no points inside the occupancy extent")

@@ -2,21 +2,17 @@
 
 Prompts are turned into a fixed-length token matrix by a deterministic
 hash embedder (a stand-in for an external frozen text encoder with the
-same interface); externally computed embeddings can be swapped in via
-the OLEB file format. The token matrix is injected into feature-map
+same interface). The token matrix is injected into feature-map
 sequences through single-head cross-attention with residual and
 feed-forward refinement.
 """
 
 import hashlib
-import struct
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, ShapeError
-
-OLEB_MAGIC = b"OLEB"
 
 TOKEN_COUNT = 8   # L_c: pad/truncate every prompt to this many tokens
 EMBED_DIM = 64    # d: embedding width of the default hash embedder
@@ -40,24 +36,6 @@ def embed_prompt(prompt, token_count=TOKEN_COUNT, dim=EMBED_DIM):
     for i, tok in enumerate(tokens[:token_count]):
         out[i] = _token_vector(tok, dim)
     return out
-
-
-def write_oleb(path, embedding):
-    emb = np.ascontiguousarray(embedding, dtype="<f4")
-    with open(path, "wb") as f:
-        f.write(OLEB_MAGIC)
-        f.write(struct.pack("<II", emb.shape[0], emb.shape[1]))
-        f.write(emb.tobytes())
-
-
-def read_oleb(path):
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != OLEB_MAGIC:
-        raise ConfigError(f"{path}: not an OLEB embedding file")
-    lc, d = struct.unpack_from("<II", raw, 4)
-    emb = np.frombuffer(raw, dtype="<f4", count=lc * d, offset=12)
-    return emb.reshape(lc, d).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -305,17 +305,15 @@ def init_denoiser(config, rng, dtype=np.float64):
     return _flat("", p, {})
 
 
-def _sub(params, prefix):
-    plen = len(prefix)
+def _nest(params):
+    """Inverse of `_flat`: dotted names back to nested dicts."""
     out = {}
     for k, v in params.items():
-        if k.startswith(prefix):
-            rest = k[plen:]
-            parts = rest.split(".")
-            d = out
-            for part in parts[:-1]:
-                d = d.setdefault(part, {})
-            d[parts[-1]] = v
+        *parents, leaf = k.split(".")
+        d = out
+        for part in parents:
+            d = d.setdefault(part, {})
+        d[leaf] = v
     return out
 
 
@@ -350,26 +348,27 @@ def denoise(params, config, x, t, zc, domain_idx, t_max=None):
     if H % (1 << (S - 1)) or W % (1 << (S - 1)):
         raise ShapeError(f"{H}x{W} input not divisible by 2^{S - 1}")
 
+    p = _nest(params)
     sin = timestep_embedding(t, cfg.time_width, t_max=t_max).astype(x.dtype)
-    te = _sub(params, "temb.")
+    te = p["temb"]
     temb = ad.matmul(ad.Tensor(sin), te["l1_w"]) + te["l1_b"]
     temb = ad.matmul(ad.silu(temb), te["l2_w"]) + te["l2_b"]
 
-    stem = _sub(params, "stem.")
+    stem = p["stem"]
     h = ad.conv2d(x, stem["w"], stem["b"])
     skips = []
     for i in range(1, S):
-        stage = _sub(params, f"enc{i}.")
+        stage = p[f"enc{i}"]
         h = _resblock(h, stage["res"], temb)
         if "attn" in stage:
             h = _attn_bchw(h, zc, stage["attn"])
         if "cdfm" in stage:
             h = _cdfm_bchw(h, stage["cdfm"], cfg.groups)
         skips.append(h)
-        down = _sub(params, f"down{i}.")
+        down = p[f"down{i}"]
         h = ad.conv2d(h, down["w"], down["b"], stride=2)
 
-    mid = _sub(params, "mid.")
+    mid = p["mid"]
     h = _resblock(h, mid["res1"], temb)
     if "attn" in mid:
         h = _attn_bchw(h, zc, mid["attn"])
@@ -378,7 +377,7 @@ def denoise(params, config, x, t, zc, domain_idx, t_max=None):
     h = _resblock(h, mid["res2"], temb)
 
     for i in range(S - 1, 0, -1):
-        stage = _sub(params, f"dec{i}.")
+        stage = p[f"dec{i}"]
         h = ad.upsample2x(h)
         h = ad.concat([h, skips[i - 1]], axis=1)
         h = _resblock(h, stage["res"], temb)
@@ -387,6 +386,6 @@ def denoise(params, config, x, t, zc, domain_idx, t_max=None):
         if "dafs" in stage:
             h = dafs_modulate(h, domain_idx, stage["dafs"], cfg.dafs_bound)
 
-    head = _sub(params, "head.")
+    head = p["head"]
     h = ad.silu(channel_norm(h, head["ln_g"], head["ln_b"]))
     return ad.conv2d(h, head["w"], head["b"])

@@ -302,7 +302,7 @@ def build_dataset(base, specs, out_dir, seed):
     """
     os.makedirs(out_dir, exist_ok=True)
     index = DatasetIndex()
-    summary = {"skipped": [], "counts": {}, "drop_stats": {}}
+    summary = {"skipped": [], "counts": {}}
     for spec in specs:
         if spec.base_key not in base:
             raise ConfigError(

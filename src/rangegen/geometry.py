@@ -234,18 +234,23 @@ def read_olri(path):
         raw = f.read()
     if raw[:4] != OLRI_MAGIC:
         raise ConfigError(f"{path}: not an OLRI range image")
+    off = 30
+    if len(raw) < off:
+        raise ConfigError(f"{path}: truncated OLRI header ({len(raw)} bytes)")
     version, h, w, channels = struct.unpack_from("<HIII", raw, 4)
     if version != OLRI_VERSION or channels != 2:
         raise ConfigError(f"{path}: unsupported OLRI header")
     f_up, f_down, r_max = struct.unpack_from("<fff", raw, 18)
-    off = 30
     n = h * w
+    if len(raw) != off + 9 * n:
+        raise ConfigError(f"{path}: OLRI payload is {len(raw) - off} bytes, "
+                          f"expected {9 * n} for a {h}x{w} grid")
+    cfg = SensorConfig(h, w, float(f_up), float(f_down), float(r_max))
     rng = np.frombuffer(raw, dtype="<f4", count=n, offset=off).reshape(h, w)
     off += 4 * n
     inten = np.frombuffer(raw, dtype="<f4", count=n, offset=off).reshape(h, w)
     off += 4 * n
     valid = np.frombuffer(raw, dtype=np.uint8, count=n, offset=off).reshape(h, w)
-    cfg = SensorConfig(h, w, float(f_up), float(f_down), float(r_max))
     return RangeImage(rng.copy(), inten.copy(), valid.astype(bool), cfg)
 
 

@@ -22,7 +22,14 @@ class AdamW:
         self.v = {}
 
     def step(self, params):
-        """Apply one update to a dict of name -> Tensor with populated grads."""
+        """Apply one update to a dict of name -> Tensor with populated grads.
+
+        Every gradient is checked before any state changes, so a non-finite
+        one leaves the parameters, moments and step count as they were.
+        """
+        for name, p in params.items():
+            if p.grad is not None and not np.all(np.isfinite(p.grad)):
+                raise TrainingError(f"non-finite gradient for parameter {name!r}")
         self.step_count += 1
         t = self.step_count
         b1, b2 = self.beta1, self.beta2
@@ -30,8 +37,6 @@ class AdamW:
             g = p.grad
             if g is None:
                 continue
-            if not np.all(np.isfinite(g)):
-                raise TrainingError(f"non-finite gradient for parameter {name!r}")
             if name not in self.m:
                 self.m[name] = np.zeros_like(p.data)
                 self.v[name] = np.zeros_like(p.data)

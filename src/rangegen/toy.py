@@ -17,6 +17,16 @@ from .geometry import RangeImage, SensorConfig, write_olri
 
 TOY_SENSOR = SensorConfig(16, 64, math.radians(3.0), math.radians(-25.0), 80.0)
 
+# Run-config values that a `toy = true` config takes for every key it
+# leaves unset.
+TOY_PRESET = {
+    "image_height": TOY_SENSOR.height, "image_width": TOY_SENSOR.width,
+    "schedule_t": 64, "sampler_steps": 64, "batch_size": 8, "lr": 1e-3,
+    "train_steps": 1500, "widths": (8, 16), "attn_stages": (2,),
+    "cdfm_stages": (2,), "time_width": 32, "cond_dim": 16, "dk": 8,
+    "data_dir": "data/toy",
+}
+
 TOY_RANGES = {"ToyNear": (4.0, 8.0), "ToyFar": (30.0, 50.0)}
 
 TOY_PROMPTS = {
@@ -40,10 +50,12 @@ def toy_domain_specs():
 
 
 def toy_denoiser_config():
+    """The denoiser a `toy = true` run trains, as a DenoiserConfig."""
     return DenoiserConfig(
-        widths=(8, 16), attn_stages=(2,), cdfm_stages=(2,), groups=4,
-        time_width=32, cond_dim=16, dk=8, token_count=8, num_domains=2,
-    )
+        num_domains=len(TOY_RANGES),
+        **{key: TOY_PRESET[key] for key in (
+            "widths", "attn_stages", "cdfm_stages", "time_width", "cond_dim",
+            "dk")})
 
 
 def _toy_scan(rng, lo, hi, cfg):

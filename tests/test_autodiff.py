@@ -1,12 +1,15 @@
 """Gradient, optimizer, and checkpoint tests for the numeric core."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from conftest import check_grads, rel_err
 
 from rangegen import autodiff as ad
-from rangegen import backend
-from rangegen.checkpoint import read_checkpoint, write_checkpoint
+from rangegen.checkpoint import MAGIC, VERSION, read_checkpoint, write_checkpoint
 from rangegen.errors import ConfigError, NumericError, ShapeError, TrainingError
 from rangegen.optim import AdamW
 
@@ -107,6 +110,21 @@ def test_recurrence_grads(seed):
     abar = rng.uniform(0.2, 0.95, (2, 5, 3))
     q = rng.standard_normal((2, 5, 3))
     check_grads(lambda a, b: ad.tsum(ad.recurrence(a, b)), [abar, q], tol=1e-5)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_recurrence_matches_closed_form(seed):
+    # h[s] = sum_{k<=s} (prod_{k<j<=s} abar[j]) q[k]
+    rng = np.random.default_rng(seed)
+    B, L, C = 2, 11, 3
+    abar = rng.uniform(0.1, 0.99, (B, L, C))
+    q = rng.standard_normal((B, L, C))
+    expect = np.zeros((B, L, C))
+    for s in range(L):
+        for k in range(s + 1):
+            expect[:, s, :] += np.prod(abar[:, k + 1 : s + 1, :], axis=1) * q[:, k, :]
+    np.testing.assert_allclose(ad.recurrence(abar, q).data, expect,
+                               rtol=1e-12, atol=1e-14)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -256,6 +274,38 @@ def test_adamw_nan_gradient_rejected():
         AdamW().step({"p": p})
 
 
+def test_adamw_nan_gradient_leaves_state_untouched():
+    a = ad.Tensor(np.array([1.0]), requires_grad=True)
+    b = ad.Tensor(np.array([2.0]), requires_grad=True)
+    opt = AdamW(lr=0.1)
+    a.grad, b.grad = np.array([1.0]), np.array([1.0])
+    opt.step({"a": a, "b": b})
+    before = (a.data.copy(), b.data.copy(),
+              {k: v.copy() for k, v in opt.m.items()},
+              {k: v.copy() for k, v in opt.v.items()}, opt.step_count)
+    a.grad, b.grad = np.array([1.0]), np.array([np.nan])
+    with pytest.raises(TrainingError, match="'b'"):
+        opt.step({"a": a, "b": b})
+    np.testing.assert_array_equal(a.data, before[0])
+    np.testing.assert_array_equal(b.data, before[1])
+    for moments, saved in ((opt.m, before[2]), (opt.v, before[3])):
+        assert moments.keys() == saved.keys()
+        for name in saved:
+            np.testing.assert_array_equal(moments[name], saved[name])
+    assert opt.step_count == before[4]
+
+
+def test_adamw_nan_gradient_on_first_step_creates_no_state():
+    a = ad.Tensor(np.array([1.0]), requires_grad=True)
+    b = ad.Tensor(np.array([2.0]), requires_grad=True)
+    a.grad, b.grad = np.array([1.0]), np.array([np.nan])
+    opt = AdamW(lr=0.1)
+    with pytest.raises(TrainingError):
+        opt.step({"a": a, "b": b})
+    np.testing.assert_array_equal(a.data, [1.0])
+    assert opt.m == {} and opt.v == {} and opt.step_count == 0
+
+
 def test_adamw_step_count_increments():
     opt = AdamW()
     p = ad.Tensor(np.array([0.0]), requires_grad=True)
@@ -291,32 +341,47 @@ def test_checkpoint_bad_magic_rejected(tmp_path):
         read_checkpoint(path)
 
 
-# ---------------------------------------------------------------------------
-# Backend parity: numba kernels against the numpy reference
-# ---------------------------------------------------------------------------
-
-@pytest.mark.skipif(not backend.HAVE_NUMBA, reason="numba not installed")
-def test_scan_kernels_match_reference():
-    rng = np.random.default_rng(8)
-    abar = rng.uniform(0.1, 0.99, (3, 17, 5))
-    q = rng.standard_normal((3, 17, 5))
-    h_np = backend.scan_forward_numpy(abar, q)
-    h_nb = backend.scan_forward_numba(abar, q)
-    np.testing.assert_allclose(h_nb, h_np, rtol=1e-12)
-    gh = rng.standard_normal(h_np.shape)
-    for a, b in zip(backend.scan_backward_numpy(abar, h_np, gh),
-                    backend.scan_backward_numba(abar, h_np, gh)):
-        np.testing.assert_allclose(b, a, rtol=1e-12)
+def _checkpoint_bytes(tmp_path):
+    buffers = {"w": np.arange(6, dtype=np.float32).reshape(2, 3),
+               "b": np.float32(1.5)}
+    path = tmp_path / "valid.olck"
+    write_checkpoint(path, buffers)
+    return path.read_bytes()
 
 
-@pytest.mark.skipif(not backend.HAVE_NUMBA, reason="numba not installed")
-def test_rasterize_kernels_match_reference():
-    rng = np.random.default_rng(9)
-    n, h, w = 5000, 8, 32
-    pv = rng.integers(0, h, n)
-    pu = rng.integers(0, w, n)
-    r = rng.uniform(1.0, 50.0, n)
-    r_np, i_np = backend.rasterize_numpy(pv, pu, r, h, w)
-    r_nb, i_nb = backend.rasterize_numba(pv, pu, r, h, w)
-    np.testing.assert_array_equal(r_nb, r_np)
-    np.testing.assert_array_equal(i_nb, i_np)
+def test_checkpoint_every_truncation_rejected(tmp_path):
+    raw = _checkpoint_bytes(tmp_path)
+    path = tmp_path / "cut.olck"
+    for size in range(len(raw)):
+        path.write_bytes(raw[:size])
+        with pytest.raises(ConfigError, match="cut.olck"):
+            read_checkpoint(path)
+    path.write_bytes(raw + b"\x00")
+    with pytest.raises(ConfigError):
+        read_checkpoint(path)
+
+
+def test_checkpoint_bad_utf8_name_rejected(tmp_path):
+    raw = _checkpoint_bytes(tmp_path)
+    # The first buffer ("b") has its one-byte name right after the
+    # 10-byte header and the 2-byte name length.
+    assert raw[12:13] == b"b"
+    path = tmp_path / "bad_name.olck"
+    path.write_bytes(raw[:12] + b"\xff" + raw[13:])
+    with pytest.raises(ConfigError, match="UTF-8"):
+        read_checkpoint(path)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.binary(max_size=128), st.booleans())
+def test_checkpoint_garbage_after_magic_raises_config_error(tmp_path, tail,
+                                                            keep_version):
+    head = MAGIC + (struct.pack("<H", VERSION) if keep_version else b"")
+    path = tmp_path / "fuzz.olck"
+    path.write_bytes(head + tail)
+    try:
+        read_checkpoint(path)
+    except ConfigError:
+        pass
+

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from rangegen import cli
+from rangegen import cli, toy
 from rangegen.errors import ConfigError
 
 
@@ -54,12 +54,36 @@ def test_malformed_config_line_rejected(tmp_path):
         cli.parse_config(str(path))
 
 
+@pytest.mark.parametrize("line", ["seed = abc", "lr = fast", "widths = 8,x",
+                                  "use_cdfm = maybe"])
+def test_malformed_config_value_exits_1(tmp_path, capsys, line):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"toy = true\n{line}\n")
+    key = line.split("=")[0].strip()
+    with pytest.raises(ConfigError, match=f"bad.cfg:2: config key '{key}'"):
+        cli.parse_config(str(path))
+    assert cli.main(["train", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
 def test_toy_preset_fills_unset_keys(tmp_path):
     path = tmp_path / "toy.cfg"
     path.write_text("toy = true\nbatch_size = 2\n")
     cfg = cli.parse_config(str(path))
     assert cfg.image_height == 16 and cfg.schedule_t == 64
     assert cfg.batch_size == 2  # explicit value wins over the preset
+
+
+def test_toy_preset_trains_the_toy_denoiser(tmp_path):
+    path = tmp_path / "toy.cfg"
+    path.write_text("toy = true\n")
+    cfg = cli.parse_config(str(path))
+    specs = cli.domain_specs_from_config(cfg)
+    assert (cli.denoiser_config_from(cfg, len(specs))
+            == toy.toy_denoiser_config())
+    assert (cfg.image_height, cfg.image_width) == (
+        toy.TOY_SENSOR.height, toy.TOY_SENSOR.width)
 
 
 def test_config_comments_and_types(tmp_path):
@@ -210,6 +234,19 @@ def test_eval_unparseable_file_named(trained, tmp_path, capsys):
     assert cli.main(["eval", "--generated", str(bad_dir),
                      "--reference", ref]) == 1
     assert "broken.olri" in capsys.readouterr().err
+
+
+def test_eval_truncated_scan_exits_1(trained, tmp_path, capsys):
+    src_tmp, _ = trained
+    ref = src_tmp / "data" / "ToyNear"
+    scan = sorted(ref.glob("*.olri"))[0]
+    bad_dir = tmp_path / "cut"
+    bad_dir.mkdir()
+    (bad_dir / "cut.olri").write_bytes(scan.read_bytes()[:200])
+    assert cli.main(["eval", "--generated", str(bad_dir),
+                     "--reference", str(ref)]) == 1
+    err = capsys.readouterr().err
+    assert "cut.olri" in err and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

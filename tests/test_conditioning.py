@@ -52,22 +52,6 @@ def test_shipped_vocabulary_tokens_nearly_orthogonal():
         assert cos < 0.99, f"tokens {a!r}/{b!r} nearly collinear"
 
 
-def test_oleb_roundtrip(tmp_path):
-    rng = np.random.default_rng(0)
-    emb = rng.standard_normal((8, 16)).astype(np.float32)
-    path = tmp_path / "prompt.oleb"
-    cond.write_oleb(path, emb)
-    back = cond.read_oleb(path)
-    np.testing.assert_array_equal(back.astype(np.float32), emb)
-
-
-def test_oleb_bad_magic(tmp_path):
-    path = tmp_path / "bad.oleb"
-    path.write_bytes(b"XXXX" + b"\x00" * 8)
-    with pytest.raises(ConfigError):
-        cond.read_oleb(path)
-
-
 # ---------------------------------------------------------------------------
 # Cross-attention block
 # ---------------------------------------------------------------------------

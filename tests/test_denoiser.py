@@ -197,7 +197,7 @@ def test_cdfm_block_gradients(seed):
     weight = rng.standard_normal((1, 2, 3, 8))
 
     def fn(z, *params):
-        local = dn._sub(dict(zip(names, params)), "")
+        local = dn._nest(dict(zip(names, params)))
         out = dn.cdfm_block(z, local, 4)
         return ad.tsum(ad.mul(out, weight))
 

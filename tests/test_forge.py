@@ -351,6 +351,25 @@ def test_build_dataset_skips_unreadable(tmp_path):
     assert summary["skipped"][0][1] == bad
 
 
+def test_build_dataset_skips_truncated_scan(tmp_path):
+    rng = np.random.default_rng(14)
+    cfg = geo.SensorConfig(4, 8, 0.05, -0.4, 80.0)
+    good = str(tmp_path / "good.olri")
+    geo.write_olri(good, random_image(rng, cfg))
+    cut = str(tmp_path / "cut.olri")
+    with open(good, "rb") as f:
+        raw = f.read()
+    with open(cut, "wb") as f:
+        f.write(raw[: len(raw) // 2])
+    spec = forge.DomainSpec(id="Vehicle", prompt_pool=("p",), sensor=cfg)
+    index, summary = forge.build_dataset(
+        {"vehicle": [(good, "train"), (cut, "train")]}, [spec],
+        str(tmp_path / "out"), 0)
+    assert [r[0] for r in index.records] == [os.path.join("Vehicle", "good.olri")]
+    assert summary["skipped"] == [("Vehicle", cut, summary["skipped"][0][2])]
+    assert "cut.olri" in summary["skipped"][0][2]
+
+
 def test_index_tsv_roundtrip(tmp_path):
     index = forge.DatasetIndex([("a/b.olri", "Fog", "train"),
                                 ("c.olri", "Snow", "val")])

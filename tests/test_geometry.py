@@ -1,9 +1,12 @@
 """Projection, rasterization, normalization, and file-format tests."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rangegen import geometry as geo
 from rangegen.errors import ConfigError
@@ -287,6 +290,59 @@ def test_olri_bad_magic(tmp_path):
     path.write_bytes(b"JUNKJUNKJUNK")
     with pytest.raises(ConfigError, match="junk.olri"):
         geo.read_olri(path)
+
+
+def _small_olri_bytes(tmp_path):
+    cfg = geo.SensorConfig(2, 3, 0.1, -0.2, 50.0)
+    valid = np.array([[True, False, True], [True, True, False]])
+    r = np.where(valid, 10.0, 0.0)
+    img = geo.RangeImage(r, np.where(valid, 0.5, 0.0), valid, cfg)
+    path = tmp_path / "small.olri"
+    geo.write_olri(path, img)
+    return path.read_bytes()
+
+
+def test_olri_every_truncation_rejected(tmp_path):
+    raw = _small_olri_bytes(tmp_path)
+    path = tmp_path / "cut.olri"
+    for size in range(len(raw)):
+        path.write_bytes(raw[:size])
+        with pytest.raises(ConfigError, match="cut.olri"):
+            geo.read_olri(path)
+    path.write_bytes(raw + b"\x00")
+    with pytest.raises(ConfigError):
+        geo.read_olri(path)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.binary(max_size=96), st.booleans())
+def test_olri_garbage_after_magic_raises_config_error(tmp_path, tail, keep_version):
+    head = geo.OLRI_MAGIC + (struct.pack("<H", geo.OLRI_VERSION)
+                             if keep_version else b"")
+    path = tmp_path / "fuzz.olri"
+    path.write_bytes(head + tail)
+    try:
+        geo.read_olri(path)
+    except ConfigError:
+        pass
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(0, 5), st.integers(0, 5), st.binary(min_size=12, max_size=12),
+       st.binary(max_size=240))
+def test_olri_random_grid_and_payload_raise_config_error(tmp_path, h, w, fov,
+                                                         payload):
+    path = tmp_path / "fuzz.olri"
+    path.write_bytes(geo.OLRI_MAGIC
+                     + struct.pack("<HIII", geo.OLRI_VERSION, h, w, 2)
+                     + fov + payload)
+    try:
+        img = geo.read_olri(path)
+    except ConfigError:
+        return
+    assert len(payload) == 9 * h * w and img.range.shape == (h, w)
 
 
 def test_xyz_roundtrip(tmp_path):
