@@ -184,32 +184,12 @@ def exp(a):
     return _make(data, (a,), bwd)
 
 
-def log(a):
-    a = _wrap(a)
-    data = np.log(a.data)
-
-    def bwd(g):
-        _accum(a, g / a.data)
-
-    return _make(data, (a,), bwd)
-
-
 def tanh(a):
     a = _wrap(a)
     data = np.tanh(a.data)
 
     def bwd(g):
         _accum(a, g * (1.0 - data * data))
-
-    return _make(data, (a,), bwd)
-
-
-def sigmoid(a):
-    a = _wrap(a)
-    data = _sigmoid_np(a.data)
-
-    def bwd(g):
-        _accum(a, g * data * (1.0 - data))
 
     return _make(data, (a,), bwd)
 

@@ -1,11 +1,13 @@
-"""Binary checkpoint format for named float buffers.
+"""Binary checkpoint format: named float buffers plus a metadata object.
 
-Layout (little-endian throughout): magic ``OLCK``, version u16, buffer
-count u32, then per buffer: name length u16 + UTF-8 name, rank u8,
-extents u32 each, float32 row-major payload.
+Layout (little-endian): magic ``OLCK``, version u16, metadata length u32 +
+UTF-8 JSON object (sorted keys), buffer count u32, then per buffer: name
+length u16 + UTF-8 name, rank u8, extents u32 each, float32 payload.
 """
 
+import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -13,27 +15,38 @@ import numpy as np
 from .errors import ConfigError
 
 MAGIC = b"OLCK"
-VERSION = 1
+VERSION = 2
 
 
-def write_checkpoint(path, buffers):
-    """Write a dict of name -> ndarray (cast to float32) to `path`."""
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<HI", VERSION, len(buffers)))
-        for name in sorted(buffers):
-            arr = np.ascontiguousarray(buffers[name], dtype="<f4")
-            nb = name.encode("utf-8")
-            f.write(struct.pack("<H", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<B", arr.ndim))
-            for ext in arr.shape:
-                f.write(struct.pack("<I", ext))
-            f.write(arr.tobytes())
+def write_checkpoint(path, buffers, meta):
+    """Write name -> ndarray buffers (cast to float32) and the JSON object
+    `meta` to a temporary file, then rename it onto `path` (atomic)."""
+    meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<HI", VERSION, len(meta_bytes)))
+            f.write(meta_bytes)
+            f.write(struct.pack("<I", len(buffers)))
+            for name in sorted(buffers):
+                arr = np.ascontiguousarray(buffers[name], dtype="<f4")
+                nb = name.encode("utf-8")
+                f.write(struct.pack("<H", len(nb)))
+                f.write(nb)
+                f.write(struct.pack("<B", arr.ndim))
+                for ext in arr.shape:
+                    f.write(struct.pack("<I", ext))
+                f.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def read_checkpoint(path):
-    """Read an OLCK file; returns dict of name -> float32 ndarray."""
+    """Read an OLCK file; returns (name -> float32 ndarray, metadata dict)."""
     with open(path, "rb") as f:
         raw = memoryview(f.read())
     if raw[:4] != MAGIC:
@@ -48,9 +61,16 @@ def read_checkpoint(path):
         off += size
         return raw[off - size : off]
 
-    version, count = struct.unpack("<HI", take(6))
+    version, meta_len = struct.unpack("<HI", take(6))
     if version != VERSION:
         raise ConfigError(f"{path}: unsupported OLCK version {version}")
+    try:
+        meta = json.loads(bytes(take(meta_len)).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ConfigError(f"{path}: bad checkpoint metadata ({exc})") from None
+    if not isinstance(meta, dict):
+        raise ConfigError(f"{path}: checkpoint metadata is not a JSON object")
+    (count,) = struct.unpack("<I", take(4))
     out = {}
     for _ in range(count):
         (nlen,) = struct.unpack("<H", take(2))
@@ -64,4 +84,4 @@ def read_checkpoint(path):
         out[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
     if off != len(raw):
         raise ConfigError(f"{path}: {len(raw) - off} bytes after the last buffer")
-    return out
+    return out, meta

@@ -17,10 +17,10 @@ import sys
 import numpy as np
 
 from . import conditioning, diffusion, forge, geometry, metrics, toy, training
+from .checkpoint import read_checkpoint
 from .denoiser import DenoiserConfig, init_denoiser
 from .errors import ConfigError, MetricError, TrainingError
-from .optim import AdamW
-from .training import load_training_checkpoint, save_training_checkpoint
+from .training import _load_params, save_training_checkpoint
 
 
 @dataclasses.dataclass
@@ -53,7 +53,6 @@ class RunConfig:
     use_dafs: bool = True
     grad_clip: float = 0.0
     ckpt_every: int = 100
-    z_ground: float = forge.GROUND_Z_DEFAULT
     corruption_file: str = ""
     base_vehicle_index: str = ""
     base_drone_index: str = ""
@@ -114,6 +113,10 @@ def parse_config(path, overrides=None):
         for key, preset in toy.TOY_PRESET.items():
             values.setdefault(key, preset)
     return RunConfig(**values)
+
+
+_SENSOR_KEYS = ("image_height", "image_width", "fov_up_deg", "fov_down_deg",
+                "r_max")
 
 
 def sensor_from_config(cfg):
@@ -202,22 +205,6 @@ def cmd_build_data(args):
     return 0
 
 
-def _ckpt_extra(cfg, dconf):
-    return {
-        "denoiser": dataclasses.asdict(dconf) | {
-            "widths": list(dconf.widths),
-            "attn_stages": list(dconf.attn_stages),
-            "cdfm_stages": list(dconf.cdfm_stages)},
-        "schedule_t": cfg.schedule_t,
-        "image_height": cfg.image_height,
-        "image_width": cfg.image_width,
-        "fov_up_deg": cfg.fov_up_deg,
-        "fov_down_deg": cfg.fov_down_deg,
-        "r_max": cfg.r_max,
-        "toy": cfg.toy,
-    }
-
-
 def cmd_train(args):
     cfg = parse_config(args.config)
     if args.sampler:
@@ -245,24 +232,29 @@ def cmd_train(args):
         out_dir=cfg.out_dir, ckpt_every=cfg.ckpt_every,
         resume_from=args.resume, grad_clip=cfg.grad_clip or None, log_fn=log)
     final = os.path.join(cfg.out_dir, "ckpt_final.olck")
+    # What `sample` needs to rebuild the model and its sensor.
+    extra = {"denoiser": dataclasses.asdict(dconf), "schedule_t": cfg.schedule_t,
+             **{key: getattr(cfg, key) for key in _SENSOR_KEYS}}
     save_training_checkpoint(final, params, opt, cfg.train_steps, cfg.seed,
-                             extra=_ckpt_extra(cfg, dconf))
+                             extra=extra)
     print(f"final checkpoint: {final}")
     return 0
 
 
 def _load_for_sampling(checkpoint):
-    with open(checkpoint + ".meta.json") as f:
-        meta = json.load(f)
-    if "denoiser" not in meta:
-        raise ConfigError(f"{checkpoint}: no denoiser config in metadata "
+    buffers, meta = read_checkpoint(checkpoint)
+    missing = {"denoiser", "schedule_t", *_SENSOR_KEYS} - meta.keys()
+    if missing:
+        raise ConfigError(f"{checkpoint}: metadata lacks {sorted(missing)} "
                           "(use the final checkpoint written by train)")
-    d = dict(meta["denoiser"])
-    for key in ("widths", "attn_stages", "cdfm_stages"):
-        d[key] = tuple(d[key])
-    dconf = DenoiserConfig(**d)
+    try:
+        dconf = DenoiserConfig(**{key: tuple(v) if isinstance(v, list) else v
+                                  for key, v in meta["denoiser"].items()})
+    except (AttributeError, TypeError) as exc:
+        raise ConfigError(f"{checkpoint}: bad denoiser config in metadata "
+                          f"({exc})") from None
     params = init_denoiser(dconf, np.random.default_rng(0), dtype=np.float32)
-    load_training_checkpoint(checkpoint, params, AdamW())
+    _load_params(checkpoint, buffers, params)
     return params, dconf, meta
 
 
@@ -285,10 +277,8 @@ def cmd_sample(args):
     schedule = diffusion.cosine_schedule(int(meta["schedule_t"]))
     steps = args.steps if args.steps else cfg.sampler_steps
     seed = cfg.seed if args.seed is None else args.seed
-    sensor = geometry.SensorConfig(
-        int(meta["image_height"]), int(meta["image_width"]),
-        math.radians(meta["fov_up_deg"]), math.radians(meta["fov_down_deg"]),
-        meta["r_max"])
+    sensor = sensor_from_config(dataclasses.replace(
+        cfg, **{key: meta[key] for key in _SENSOR_KEYS}))
     spec = by_id[args.domain]
     prompt = forge.sample_prompt(spec, "infer")
     emb = conditioning.embed_prompt(prompt, dconf.token_count,
@@ -386,7 +376,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, MetricError, TrainingError, FileNotFoundError) as exc:
+    except (ConfigError, MetricError, TrainingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal invariant violation

@@ -100,14 +100,14 @@ def reduce_beams(img):
                       img.valid[::2].copy(), half)
 
 
-def detect_ground(img, z_thresh=GROUND_Z_DEFAULT):
-    """Boolean H x W mask of valid pixels whose unprojected z < z_thresh."""
+def detect_ground(img):
+    """Boolean H x W mask of valid pixels with z below GROUND_Z_DEFAULT."""
     _, elev = pixel_angles(img.config)
     z = img.range.astype(np.float64) * np.sin(elev)[:, None]
-    return img.valid & (z < z_thresh)
+    return img.valid & (z < GROUND_Z_DEFAULT)
 
 
-def corrupt(img, spec, severity, rng, z_thresh=GROUND_Z_DEFAULT):
+def corrupt(img, spec, severity, rng):
     """Apply one severity level of a parametric corruption.
 
     fog/rain/snow: each valid pixel is dropped with probability
@@ -128,7 +128,7 @@ def corrupt(img, spec, severity, rng, z_thresh=GROUND_Z_DEFAULT):
     inten = img.intensity.copy()
     valid = img.valid.copy()
 
-    target = detect_ground(img, z_thresh) if spec.kind == "wet_ground" else valid
+    target = detect_ground(img) if spec.kind == "wet_ground" else valid
     p_drop = np.minimum(1.0, slope * rng_img.astype(np.float64))
     draw = rng.random(rng_img.shape)
     drop = target & (draw < p_drop)

@@ -7,7 +7,6 @@ of (index, batch size, seed, step), which also makes resumption
 bit-identical: all randomness is keyed by (seed, step).
 """
 
-import json
 import os
 
 import numpy as np
@@ -107,23 +106,34 @@ def assemble_batch(plan, cache, dom_to_idx):
 def save_training_checkpoint(path, params, opt, step, seed, extra=None):
     buffers = {name: p.data for name, p in params.items()}
     buffers.update(opt.state_buffers())
-    write_checkpoint(path, buffers)
     meta = {"step": step, "seed": seed, "opt_step": opt.step_count,
             "lr": opt.lr, "weight_decay": opt.weight_decay}
     if extra:
         meta.update(extra)
-    with open(path + ".meta.json", "w") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
+    write_checkpoint(path, buffers, meta)
 
 
-def load_training_checkpoint(path, params, opt):
-    buffers = read_checkpoint(path)
-    with open(path + ".meta.json") as f:
-        meta = json.load(f)
+def _load_params(path, buffers, params):
+    """Copy each parameter's buffer into `params`, or raise ConfigError and
+    copy nothing if one is missing or a shape differs, moments included."""
     for name, p in params.items():
         if name not in buffers:
             raise ConfigError(f"checkpoint {path} missing buffer {name!r}")
-        p.data = buffers[name].astype(p.data.dtype).reshape(p.data.shape)
+        for key in (name, "opt.m:" + name, "opt.v:" + name):
+            if key in buffers and buffers[key].shape != p.data.shape:
+                raise ConfigError(
+                    f"checkpoint {path}: buffer {key!r} has shape "
+                    f"{buffers[key].shape}, the model needs {p.data.shape}")
+    for name, p in params.items():
+        p.data = buffers[name].astype(p.data.dtype)
+
+
+def load_training_checkpoint(path, params, opt):
+    buffers, meta = read_checkpoint(path)
+    missing = {"step", "seed", "opt_step", "lr", "weight_decay"} - meta.keys()
+    if missing:
+        raise ConfigError(f"checkpoint {path} metadata lacks {sorted(missing)}")
+    _load_params(path, buffers, params)
     opt.load_state_buffers(buffers, meta["opt_step"])
     opt.lr = meta["lr"]
     opt.weight_decay = meta["weight_decay"]

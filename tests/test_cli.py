@@ -1,10 +1,13 @@
 """Command-line contract tests over the synthetic two-domain corpus."""
 
 import os
+import shutil
+import struct
 
 import pytest
 
 from rangegen import cli, toy
+from rangegen.checkpoint import read_checkpoint, write_checkpoint
 from rangegen.errors import ConfigError
 
 
@@ -140,13 +143,27 @@ def test_train_homogeneous_sampler_flag(tmp_path):
 
 
 def test_train_resume_continues_trace(trained, tmp_path):
-    src_tmp, cfg = trained
-    ckpt = str(src_tmp / "run" / "ckpt_0000003.olck")
-    full = (src_tmp / "run" / "loss.csv").read_text().strip().splitlines()
-    assert cli.main(["train", "--config", cfg, "--resume", ckpt]) == 0
-    resumed = (src_tmp / "run" / "loss.csv").read_text().strip().splitlines()
+    src_tmp, _ = trained
+    run = tmp_path / "run"
+    shutil.copytree(src_tmp / "run", run)
+    cfg = _write_config(tmp_path, data_dir=str(src_tmp / "data"))
+    full = (run / "loss.csv").read_text().strip().splitlines()
+    assert cli.main(["train", "--config", cfg, "--resume",
+                     str(run / "ckpt_0000003.olck")]) == 0
+    resumed = (run / "loss.csv").read_text().strip().splitlines()
     # resume appends steps 3..5 identical to the uninterrupted run
     assert resumed[-3:] == full[4:7]
+
+
+def test_train_resume_other_widths_exits_1(trained, tmp_path, capsys):
+    src_tmp, _ = trained
+    cfg = _write_config(tmp_path, data_dir=str(src_tmp / "data"),
+                        widths="16,32")
+    ckpt = str(src_tmp / "run" / "ckpt_0000003.olck")
+    assert cli.main(["train", "--config", cfg, "--resume", ckpt]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "shape" in err and not (tmp_path / "run").exists()
 
 
 def test_train_without_dataset_fails(tmp_path, capsys):
@@ -196,6 +213,48 @@ def test_sample_default_steps_from_config(trained, capsys):
                      "--domain", "ToyFar", "--count", "1",
                      "--out", str(tmp_path / "sd")]) == 0
     assert "steps=64" in capsys.readouterr().out  # toy preset sampler_steps
+
+
+def _damage(src, dst, how):
+    """Write a damaged copy of checkpoint `src` to `dst`."""
+    raw = src.read_bytes()
+    if how == "truncated":
+        dst.write_bytes(raw[: len(raw) // 2])
+        return
+    if how == "bad_meta":
+        (meta_len,) = struct.unpack_from("<I", raw, 6)
+        dst.write_bytes(raw[:10] + b"{" * meta_len + raw[10 + meta_len :])
+        return
+    buffers, meta = read_checkpoint(src)
+    if how == "missing_key":
+        del meta["lr"], meta["schedule_t"]  # one key of resume, one of sample
+    elif how == "bad_denoiser":
+        meta["denoiser"]["no_such_field"] = 1
+    else:
+        name = next(n for n, arr in buffers.items() if arr.ndim == 4)
+        buffers[name] = buffers[name][:1]
+    write_checkpoint(dst, buffers, meta)
+
+
+@pytest.mark.parametrize("command, how", [
+    (command, how) for command in ("train", "sample")
+    for how in ("truncated", "bad_meta", "missing_key", "shape")
+] + [("sample", "bad_denoiser")])
+def test_damaged_checkpoint_exits_1(trained, tmp_path, capsys, command, how):
+    src_tmp, _ = trained
+    cfg = _write_config(tmp_path, data_dir=str(src_tmp / "data"))
+    ckpt = tmp_path / "damaged.olck"
+    _damage(src_tmp / "run" / "ckpt_final.olck", ckpt, how)
+    if command == "train":
+        argv = ["train", "--config", cfg, "--resume", str(ckpt)]
+    else:
+        argv = ["sample", "--config", cfg, "--checkpoint", str(ckpt),
+                "--domain", "ToyNear", "--steps", "2",
+                "--out", str(tmp_path / "samples")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "damaged.olck" in err
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +311,12 @@ def test_eval_truncated_scan_exits_1(trained, tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # Exit codes
 # ---------------------------------------------------------------------------
+
+def test_config_directory_exits_1(tmp_path, capsys):
+    assert cli.main(["train", "--config", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
 
 def test_internal_error_exits_2(tmp_path, monkeypatch, capsys):
     cfg = _write_config(tmp_path)

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from rangegen import diffusion, forge, toy, training
+from rangegen.checkpoint import read_checkpoint, write_checkpoint
 from rangegen.denoiser import init_denoiser
 from rangegen.errors import ConfigError
+from rangegen.optim import AdamW
 
 
 def _index(sizes):
@@ -141,7 +143,9 @@ def test_train_writes_loss_csv_and_checkpoints(tmp_path):
     assert steps == list(range(10))
     assert (out / "ckpt_0000005.olck").exists()
     assert (out / "ckpt_0000010.olck").exists()
-    assert (out / "ckpt_0000005.olck.meta.json").exists()
+    assert not list(out.glob("*.meta.json"))
+    _, meta = read_checkpoint(str(out / "ckpt_0000005.olck"))
+    assert meta["step"] == 5
 
 
 def test_train_resume_bit_identical(tmp_path):
@@ -178,8 +182,6 @@ def test_checkpoint_meta_roundtrip(tmp_path):
     training.save_training_checkpoint(path, params, opt, 3, 0)
     cfg2 = toy.toy_denoiser_config()
     params2 = init_denoiser(cfg2, np.random.default_rng(99), dtype=np.float32)
-    from rangegen.optim import AdamW
-
     opt2 = AdamW()
     meta = training.load_training_checkpoint(path, params2, opt2)
     assert meta["step"] == 3 and meta["seed"] == 0
@@ -190,3 +192,45 @@ def test_checkpoint_meta_roundtrip(tmp_path):
     for name in opt.m:
         np.testing.assert_array_equal(opt2.m[name], opt.m[name])
         np.testing.assert_array_equal(opt2.v[name], opt.v[name])
+
+
+def _saved_state(tmp_path):
+    """A 2-step toy run's checkpoint: (path, buffers, meta)."""
+    cfg, params, sched, data_dir, index, specs = _toy_pipeline(tmp_path, 4)
+    opt, _ = training.train(params, cfg, sched, data_dir, index, specs,
+                            steps=2, seed=0, batch_size=2, lr=1e-3)
+    path = str(tmp_path / "state.olck")
+    training.save_training_checkpoint(path, params, opt, 2, 0)
+    return (path,) + read_checkpoint(path)
+
+
+def _fresh_params():
+    return init_denoiser(toy.toy_denoiser_config(),
+                         np.random.default_rng(1), dtype=np.float32)
+
+
+@pytest.mark.parametrize("damage", ["missing_key", "param", "param_same_size",
+                                    "moment", "missing_buffer"])
+def test_load_rejects_damaged_checkpoint(tmp_path, damage):
+    path, buffers, meta = _saved_state(tmp_path)
+    name = next(n for n, arr in buffers.items()
+                if arr.ndim == 4 and not n.startswith("opt."))
+    arr = buffers[name]
+    if damage == "missing_key":
+        del meta["opt_step"]
+        name = "opt_step"
+    elif damage == "param":
+        buffers[name] = arr[:1]
+    elif damage == "param_same_size":
+        buffers[name] = arr.reshape(arr.shape[::-1])
+    elif damage == "moment":
+        buffers["opt.v:" + name] = arr[:1]
+    else:
+        del buffers[name]
+    write_checkpoint(path, buffers, meta)
+    params = _fresh_params()
+    before = {n: p.data.copy() for n, p in params.items()}
+    with pytest.raises(ConfigError, match=name):
+        training.load_training_checkpoint(path, params, AdamW())
+    for n, p in params.items():
+        np.testing.assert_array_equal(p.data, before[n])
