@@ -7,12 +7,24 @@ immutable after creation; ``backward()`` from a scalar loss populates
 
 Tests run everything in float64; training uses float32 for speed and so
 checkpoints round-trip bit-exactly.
+
+Convolution is lowered to matrix products (im2col, Chellapilla et al.
+2006). The padded input ``xp`` of shape (B, C, Hp, Wp) is unfolded into
+columns of shape (B, C*kh*kw, Hs*Ws), channel-major: row ``(c, i, j)``
+holds ``xp[:, c, i + stride*h, j + stride*w]`` for every output pixel
+``(h, w)``. The forward pass is then one batched matmul with the
+(O, C*kh*kw) kernel matrix, and its (B, O, Hs*Ws) result is already
+contiguous BCHW. Backward takes the weight gradient as ``g @ cols^T`` and
+the input gradient as ``w^T @ g`` folded back onto ``xp`` (col2im). The
+columns are kh*kw times the size of the input, so the tape keeps only
+``xp`` and backward rebuilds them: holding them for every convolution of
+a training step costs more memory than the copy costs time.
 """
 
 import numpy as np
 
 from . import backend
-from .errors import NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 
 
 class Tensor:
@@ -195,12 +207,15 @@ def tanh(a):
 
 
 def _sigmoid_np(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic sigmoid as 0.5 * (1 + tanh(x / 2)).
+
+    No overflow and no boolean masks for any x. The error is absolute,
+    within about one ulp of 1, so values near 0 lose relative precision.
+    """
+    s = np.tanh(0.5 * x)
+    s += 1.0
+    s *= 0.5
+    return s
 
 
 def silu(a):
@@ -344,13 +359,35 @@ def softmax(a, axis=-1):
     return mul(e, power(tsum(e, axis=axis, keepdims=True), -1.0))
 
 
-def layer_norm(x, gain, bias, eps=1e-5):
-    """Normalize over the last axis, then scale and shift."""
-    mu = tmean(x, axis=-1, keepdims=True)
-    xc = x - mu
-    var = tmean(mul(xc, xc), axis=-1, keepdims=True)
-    inv = power(add(var, eps), -0.5)
-    return add(mul(mul(xc, inv), gain), bias)
+def layer_norm(x, gain, bias, eps=1e-5, axis=-1):
+    """Normalize over `axis`, then scale and shift by per-feature gain and bias.
+
+    One tape node with the closed-form backward (Ba et al. 2016): with
+    d = gy * gain, dx = inv * (d - mean(d) - xhat * mean(d * xhat)).
+    """
+    x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
+    nd = x.data.ndim
+    axis %= nd
+    feat = [1] * nd
+    feat[axis] = x.data.shape[axis]
+    g = gain.data.reshape(feat)
+    xc = x.data - x.data.mean(axis=axis, keepdims=True)
+    inv = ((xc * xc).mean(axis=axis, keepdims=True) + eps) ** -0.5
+    xhat = xc * inv
+    data = xhat * g + bias.data.reshape(feat)
+    others = tuple(i for i in range(nd) if i != axis)
+
+    def bwd(gy):
+        if gain.requires_grad:
+            _accum(gain, (gy * xhat).sum(axis=others).reshape(gain.data.shape))
+        if bias.requires_grad:
+            _accum(bias, gy.sum(axis=others).reshape(bias.data.shape))
+        if x.requires_grad:
+            d = gy * g
+            _accum(x, inv * (d - d.mean(axis=axis, keepdims=True)
+                             - xhat * (d * xhat).mean(axis=axis, keepdims=True)))
+
+    return _make(data, (x, gain, bias), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -366,13 +403,20 @@ def _pad_conv(x, ph, pw):
     return x
 
 
+def _im2col(xp, kh, kw, stride):
+    """Columns (B, C*kh*kw, Hs*Ws) of the padded input, channel-major."""
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]
+    B, C, Hs, Ws = win.shape[:4]
+    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3))
+    return cols.reshape(B, C * kh * kw, Hs * Ws)
+
+
 def conv2d(x, w, b=None, stride=1):
     """2D convolution of BCHW input with OCKhKw kernel. Odd kernels only."""
-    from .errors import ConfigError
-
     x = _wrap(x)
     w = _wrap(w)
-    kh, kw = w.data.shape[2], w.data.shape[3]
+    O, _, kh, kw = w.data.shape
     if kh % 2 == 0 or kw % 2 == 0:
         raise ConfigError(f"conv2d: kernel extents must be odd, got {kh}x{kw}")
     if x.data.shape[1] != w.data.shape[1]:
@@ -381,10 +425,11 @@ def conv2d(x, w, b=None, stride=1):
         )
     ph, pw = kh // 2, kw // 2
     B, C, H, W = x.data.shape
+    Hs, Ws = (H - 1) // stride + 1, (W - 1) // stride + 1
     xp = _pad_conv(x.data, ph, pw)
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]
-    data = np.einsum("bchwij,ocij->bohw", win, w.data, optimize=True)
+    w2 = w.data.reshape(O, C * kh * kw)
+    data = np.matmul(w2, _im2col(xp, kh, kw, stride))
+    data = data.reshape(B, O, Hs, Ws)
     parents = [x, w]
     if b is not None:
         b = _wrap(b)
@@ -392,19 +437,23 @@ def conv2d(x, w, b=None, stride=1):
         parents.append(b)
 
     def bwd(g):
+        g2 = g.reshape(B, O, Hs * Ws)
         if w.requires_grad:
-            _accum(w, np.einsum("bohw,bchwij->ocij", g, win, optimize=True))
+            cols = _im2col(xp, kh, kw, stride)
+            # (cols @ g^T)^T: faster with OpenBLAS than g @ cols^T.
+            gw = np.matmul(cols, g2.transpose(0, 2, 1)).sum(axis=0)
+            del cols
+            _accum(w, gw.T.reshape(w.data.shape))
         if b is not None and b.requires_grad:
             _accum(b, g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            Hs, Ws = g.shape[2], g.shape[3]
+            dcols = np.matmul(w2.T, g2).reshape(B, C, kh, kw, Hs, Ws)
             dxp = np.zeros_like(xp)
             for i in range(kh):
                 for j in range(kw):
                     dxp[:, :, i : i + stride * Hs : stride,
-                        j : j + stride * Ws : stride] += np.einsum(
-                        "bohw,oc->bchw", g, w.data[:, :, i, j], optimize=True
-                    )
+                        j : j + stride * Ws : stride] += dcols[:, :, i, j]
+            del dcols
             dx = dxp[:, :, ph : ph + H, :] if ph else dxp
             if pw:
                 core = dx[:, :, :, pw : pw + W].copy()

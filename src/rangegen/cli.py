@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import conditioning, diffusion, forge, geometry, metrics, toy, training
-from .checkpoint import read_checkpoint
+from .checkpoint import check_meta_types, read_checkpoint
 from .denoiser import DenoiserConfig, init_denoiser
 from .errors import ConfigError, MetricError, TrainingError
 from .training import _load_params, save_training_checkpoint
@@ -247,6 +247,10 @@ def _load_for_sampling(checkpoint):
     if missing:
         raise ConfigError(f"{checkpoint}: metadata lacks {sorted(missing)} "
                           "(use the final checkpoint written by train)")
+    keys = ("schedule_t", *_SENSOR_KEYS)
+    check_meta_types(checkpoint, meta,
+                     ints=[key for key in keys if _FIELD_TYPES[key] is int],
+                     reals=[key for key in keys if _FIELD_TYPES[key] is float])
     try:
         dconf = DenoiserConfig(**{key: tuple(v) if isinstance(v, list) else v
                                   for key, v in meta["denoiser"].items()})
@@ -274,7 +278,7 @@ def cmd_sample(args):
         raise ConfigError(f"unknown domain {args.domain!r}; known: "
                           + ", ".join(sorted(by_id)))
     params, dconf, meta = _load_for_sampling(args.checkpoint)
-    schedule = diffusion.cosine_schedule(int(meta["schedule_t"]))
+    schedule = diffusion.cosine_schedule(meta["schedule_t"])
     steps = args.steps if args.steps else cfg.sampler_steps
     seed = cfg.seed if args.seed is None else args.seed
     sensor = sensor_from_config(dataclasses.replace(

@@ -197,14 +197,7 @@ def dafs_modulate(f, domain_idx, table, bound):
 
 def channel_norm(x, gain, bias, eps=1e-5):
     """Layer norm over the channel axis of a BCHW tensor."""
-    C = x.shape[1]
-    mu = ad.tmean(x, axis=1, keepdims=True)
-    xc = x - mu
-    var = ad.tmean(ad.mul(xc, xc), axis=1, keepdims=True)
-    inv = ad.power(ad.add(var, eps), -0.5)
-    g = ad.reshape(gain, (1, C, 1, 1))
-    b = ad.reshape(bias, (1, C, 1, 1))
-    return ad.add(ad.mul(ad.mul(xc, inv), g), b)
+    return ad.layer_norm(x, gain, bias, eps, axis=1)
 
 
 def _init_resblock(rng, cin, cout, time_width, dtype):

@@ -12,7 +12,7 @@ import os
 import numpy as np
 
 from . import conditioning, diffusion
-from .checkpoint import read_checkpoint, write_checkpoint
+from .checkpoint import check_meta_types, read_checkpoint, write_checkpoint
 from .errors import ConfigError, TrainingError
 from .forge import sample_prompt
 from .geometry import normalize, read_olri
@@ -133,6 +133,8 @@ def load_training_checkpoint(path, params, opt):
     missing = {"step", "seed", "opt_step", "lr", "weight_decay"} - meta.keys()
     if missing:
         raise ConfigError(f"checkpoint {path} metadata lacks {sorted(missing)}")
+    check_meta_types(path, meta, ints=("step", "seed", "opt_step"),
+                     reals=("lr", "weight_decay"))
     _load_params(path, buffers, params)
     opt.load_state_buffers(buffers, meta["opt_step"])
     opt.lr = meta["lr"]
@@ -156,8 +158,8 @@ def train(params, config, schedule, data_dir, index, specs, steps, seed,
     start_step = 0
     if resume_from is not None:
         meta = load_training_checkpoint(resume_from, params, opt)
-        start_step = int(meta["step"])
-        seed = int(meta["seed"])
+        start_step = meta["step"]
+        seed = meta["seed"]
     dom_to_idx = {s.id: i for i, s in enumerate(specs)}
     cache = ScanCache(data_dir, config)
     batches = SAMPLERS[sampler](index, specs, batch_size, seed,

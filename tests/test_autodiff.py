@@ -104,6 +104,114 @@ def test_conv2d_strided_and_upsample_grads(seed):
     check_grads(fn, [x, w], tol=1e-5)
 
 
+def _conv_reference(x, w, b, stride):
+    """Direct sum over (c, i, j) of each zero-padded (rows) and circularly
+    padded (columns) window: the definition conv2d must match."""
+    O, C, kh, kw = w.shape
+    ph, pw = kh // 2, kw // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (0, 0), (pw, pw)), mode="wrap")
+    xp = np.pad(xp, ((0, 0), (0, 0), (ph, ph), (0, 0)))
+    B, _, H, W = x.shape
+    Hs, Ws = len(range(0, H, stride)), len(range(0, W, stride))
+    out = np.zeros((B, O, Hs, Ws))
+    for n in range(B):
+        for o in range(O):
+            for h in range(Hs):
+                for v in range(Ws):
+                    win = xp[n, :, h * stride : h * stride + kh,
+                             v * stride : v * stride + kw]
+                    out[n, o, h, v] = (win * w[o]).sum() + b[o]
+    return out
+
+
+# (kernel, stride, width): 3x3 and 1x1 kernels, stride 1 and 2, and an odd
+# width at stride 2.
+CONV_CASES = [(3, 1, 6), (3, 2, 8), (3, 2, 7), (1, 1, 6), (1, 2, 7)]
+
+
+@pytest.mark.parametrize("k, stride, W", CONV_CASES)
+def test_conv2d_matches_direct_sum(k, stride, W):
+    rng = np.random.default_rng(k * 100 + stride * 10 + W)
+    x = rng.standard_normal((2, 3, 5, W))
+    w = rng.standard_normal((4, 3, k, k))
+    b = rng.standard_normal(4)
+    out = ad.conv2d(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b), stride=stride)
+    np.testing.assert_allclose(out.data, _conv_reference(x, w, b, stride),
+                               rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("k, stride, W", CONV_CASES)
+@pytest.mark.parametrize("seed", range(4))
+def test_conv2d_batched_weighted_grads(seed, k, stride, W):
+    # B = 2 and a random upstream gradient, so a batch or channel mix-up in
+    # the column layout cannot cancel out.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((2, 3, 5, W))
+    w = rng.standard_normal((4, 3, k, k))
+    b = rng.standard_normal(4)
+    weight = rng.standard_normal((2, 4, len(range(0, 5, stride)),
+                                  len(range(0, W, stride))))
+    check_grads(
+        lambda xx, ww, bb: ad.tsum(ad.mul(ad.conv2d(xx, ww, bb, stride=stride),
+                                          weight)),
+        [x, w, b], tol=1e-5)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_layer_norm_channel_axis_grads(seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((2, 3, 4, 5))
+    g = rng.standard_normal(3)
+    b = rng.standard_normal(3)
+    weight = rng.standard_normal((2, 3, 4, 5))
+    check_grads(
+        lambda t, gg, bb: ad.tsum(ad.mul(ad.layer_norm(t, gg, bb, axis=1),
+                                         weight)),
+        [x, g, b], tol=1e-5)
+
+
+def _composed_layer_norm(x, gain, bias, eps, axis):
+    """Layer norm built primitive by primitive: the reference for the fused op."""
+    shape = [1] * x.data.ndim
+    shape[axis] = x.data.shape[axis]
+    mu = ad.tmean(x, axis=axis, keepdims=True)
+    xc = x - mu
+    var = ad.tmean(ad.mul(xc, xc), axis=axis, keepdims=True)
+    inv = ad.power(ad.add(var, eps), -0.5)
+    return ad.add(ad.mul(ad.mul(xc, inv), ad.reshape(gain, shape)),
+                  ad.reshape(bias, shape))
+
+
+@pytest.mark.parametrize("axis, shape", [(1, (2, 5, 3, 4)), (-1, (3, 4, 7))])
+def test_layer_norm_matches_composed_formula(axis, shape):
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(shape) * 3.0 + 1.5
+    n = shape[axis]
+    g, b = rng.standard_normal(n), rng.standard_normal(n)
+    weight = rng.standard_normal(shape)
+    grads = []
+    for fn in (ad.layer_norm, _composed_layer_norm):
+        ts = [ad.Tensor(a, requires_grad=True) for a in (x, g, b)]
+        out = fn(*ts, 1e-5, axis)
+        ad.tsum(ad.mul(out, weight)).backward()
+        grads.append((out.data, *[t.grad for t in ts]))
+    for fused, composed in zip(*grads):
+        np.testing.assert_allclose(fused, composed, rtol=1e-12, atol=1e-12)
+
+
+def test_sigmoid_extremes_raise_no_floating_point_warning():
+    for dtype in (np.float64, np.float32):
+        x = np.array([-1e4, -50.0, 0.0, 50.0, 1e4], dtype=dtype)
+        with np.errstate(all="raise"):
+            s = ad._sigmoid_np(x)
+            t = ad.Tensor(x, requires_grad=True)
+            ad.tsum(ad.silu(t)).backward()
+        assert s.dtype == dtype
+        assert np.all((s >= 0.0) & (s <= 1.0))
+        assert s[2] == 0.5 and s[0] == 0.0 and s[-1] == 1.0
+        assert np.all(np.isfinite(t.grad))
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_recurrence_grads(seed):
     rng = np.random.default_rng(seed)

@@ -215,6 +215,22 @@ def test_sample_default_steps_from_config(trained, capsys):
     assert "steps=64" in capsys.readouterr().out  # toy preset sampler_steps
 
 
+# Metadata values of the wrong type or range: how -> (the command that
+# reads the key, key, value).
+_BAD_META = {
+    "step_str": ("train", "step", "one"),
+    "step_negative": ("train", "step", -1),
+    "seed_float": ("train", "seed", 1.5),
+    "opt_step_bool": ("train", "opt_step", True),
+    "lr_str": ("train", "lr", "fast"),
+    "weight_decay_nan": ("train", "weight_decay", float("nan")),
+    "schedule_t_str": ("sample", "schedule_t", "64"),
+    "image_height_float": ("sample", "image_height", 16.0),
+    "fov_up_inf": ("sample", "fov_up_deg", float("inf")),
+    "r_max_str": ("sample", "r_max", "far"),
+}
+
+
 def _damage(src, dst, how):
     """Write a damaged copy of checkpoint `src` to `dst`."""
     raw = src.read_bytes()
@@ -230,6 +246,9 @@ def _damage(src, dst, how):
         del meta["lr"], meta["schedule_t"]  # one key of resume, one of sample
     elif how == "bad_denoiser":
         meta["denoiser"]["no_such_field"] = 1
+    elif how in _BAD_META:
+        _, key, value = _BAD_META[how]
+        meta[key] = value
     else:
         name = next(n for n, arr in buffers.items() if arr.ndim == 4)
         buffers[name] = buffers[name][:1]
@@ -239,7 +258,9 @@ def _damage(src, dst, how):
 @pytest.mark.parametrize("command, how", [
     (command, how) for command in ("train", "sample")
     for how in ("truncated", "bad_meta", "missing_key", "shape")
-] + [("sample", "bad_denoiser")])
+] + [("sample", "bad_denoiser")] + [
+    (command, how) for how, (command, _, _) in _BAD_META.items()
+])
 def test_damaged_checkpoint_exits_1(trained, tmp_path, capsys, command, how):
     src_tmp, _ = trained
     cfg = _write_config(tmp_path, data_dir=str(src_tmp / "data"))
