@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import conditioning, diffusion, forge, geometry, metrics, toy, training
-from .checkpoint import check_meta_types, read_checkpoint
+from .checkpoint import read_checkpoint
 from .denoiser import DenoiserConfig, init_denoiser
 from .errors import ConfigError, MetricError, TrainingError
 from .training import _load_params, save_training_checkpoint
@@ -25,14 +25,16 @@ from .training import _load_params, save_training_checkpoint
 
 @dataclasses.dataclass
 class RunConfig:
+    """Every value of a run, each type- and range-checked on construction;
+    model and sensor defaults are DenoiserConfig's and DEFAULT_SENSOR's."""
     out_dir: str = "runs/default"
     data_dir: str = "data/built"
     seed: int = 0
-    image_height: int = 64
-    image_width: int = 1024
-    fov_up_deg: float = 3.0
-    fov_down_deg: float = -25.0
-    r_max: float = 80.0
+    image_height: int = geometry.DEFAULT_SENSOR.height
+    image_width: int = geometry.DEFAULT_SENSOR.width
+    fov_up_deg: float = geometry.DEFAULT_FOV_UP_DEG
+    fov_down_deg: float = geometry.DEFAULT_FOV_DOWN_DEG
+    r_max: float = geometry.DEFAULT_SENSOR.r_max
     schedule_t: int = 1024
     sampler_steps: int = 256
     batch_size: int = 16
@@ -40,17 +42,17 @@ class RunConfig:
     weight_decay: float = 0.0
     train_steps: int = 500_000
     sampler: str = "cdts"
-    widths: tuple = (32, 64, 128)
-    attn_stages: tuple = (2, 3)
-    cdfm_stages: tuple = (3,)
-    groups: int = 4
-    time_width: int = 64
-    cond_dim: int = 64
-    dk: int = 32
-    token_count: int = 8
-    dafs_bound: float = 0.1
-    use_cdfm: bool = True
-    use_dafs: bool = True
+    widths: tuple = DenoiserConfig.widths
+    attn_stages: tuple = DenoiserConfig.attn_stages
+    cdfm_stages: tuple = DenoiserConfig.cdfm_stages
+    groups: int = DenoiserConfig.groups
+    time_width: int = DenoiserConfig.time_width
+    cond_dim: int = DenoiserConfig.cond_dim
+    dk: int = DenoiserConfig.dk
+    token_count: int = DenoiserConfig.token_count
+    dafs_bound: float = DenoiserConfig.dafs_bound
+    use_cdfm: bool = DenoiserConfig.use_cdfm
+    use_dafs: bool = DenoiserConfig.use_dafs
     grad_clip: float = 0.0
     ckpt_every: int = 100
     corruption_file: str = ""
@@ -60,8 +62,59 @@ class RunConfig:
     toy: bool = False
     toy_scans: int = 48
 
+    def __post_init__(self):
+        for key, kind in _FIELD_TYPES.items():
+            setattr(self, key, _checked(key, kind, getattr(self, key)))
+        # The sensor and the denoiser check how values fit together: the
+        # FOV order, r_max > 0, the grid size and the widths per group.
+        sensor_from_config(self)
+        denoiser_config_from(self, 1)
+
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+
+# The smallest value of each bounded number; a tuple's bound applies to
+# each entry.
+_MINIMUM = {
+    "seed": 0, "schedule_t": 1, "sampler_steps": 1, "batch_size": 1,
+    "lr": 0.0, "weight_decay": 0.0, "train_steps": 1, "widths": 1,
+    "attn_stages": 1, "cdfm_stages": 1, "groups": 1, "time_width": 2,
+    "cond_dim": 1, "dk": 1, "token_count": 1, "dafs_bound": 0.0,
+    "grad_clip": 0.0, "ckpt_every": 1, "toy_scans": 1,
+}
+
+# The RunConfig fields that DenoiserConfig shares, and what `train` stores
+# in ckpt_final.olck for `sample`: the model, its sensor and its schedule.
+_MODEL_KEYS = tuple(f.name for f in dataclasses.fields(DenoiserConfig)
+                    if f.name in _FIELD_TYPES)
+_CHECKPOINT_KEYS = (*_MODEL_KEYS, "image_height", "image_width", "fov_up_deg",
+                    "fov_down_deg", "r_max", "schedule_t")
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _checked(key, kind, value):
+    """`value` as config key `key` of type `kind` (a list becomes a tuple,
+    an int a float); ConfigError naming the key if it is not one."""
+    low = _MINIMUM.get(key)
+    bound = "" if low is None else f" >= {low}"
+    if kind is tuple:
+        need = 1 if key == "widths" else 0  # the UNet needs one stage
+        ok = (isinstance(value, (list, tuple)) and len(value) >= need
+              and all(_is_int(v) and v >= low for v in value))
+        what = ("a non-empty " if need else "a ") + "list of integers" + bound
+    elif kind in (int, float):
+        ok = ((_is_int(value) or kind is float and isinstance(value, float))
+              and math.isfinite(value) and (low is None or value >= low))
+        what = ("an integer" if kind is int else "a finite number") + bound
+    else:
+        ok = isinstance(value, kind)
+        what = f"a {kind.__name__}"
+    if not ok:
+        raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
+    return kind(value)
 
 
 def _coerce(key, value):
@@ -112,11 +165,10 @@ def parse_config(path, overrides=None):
     if values.get("toy"):
         for key, preset in toy.TOY_PRESET.items():
             values.setdefault(key, preset)
-    return RunConfig(**values)
-
-
-_SENSOR_KEYS = ("image_height", "image_width", "fov_up_deg", "fov_down_deg",
-                "r_max")
+    try:
+        return RunConfig(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def sensor_from_config(cfg):
@@ -143,13 +195,8 @@ def domain_specs_from_config(cfg):
 
 
 def denoiser_config_from(cfg, num_domains):
-    return DenoiserConfig(
-        widths=tuple(cfg.widths), attn_stages=tuple(cfg.attn_stages),
-        cdfm_stages=tuple(cfg.cdfm_stages), groups=cfg.groups,
-        time_width=cfg.time_width, cond_dim=cfg.cond_dim, dk=cfg.dk,
-        token_count=cfg.token_count, num_domains=num_domains,
-        dafs_bound=cfg.dafs_bound, use_cdfm=cfg.use_cdfm,
-        use_dafs=cfg.use_dafs)
+    return DenoiserConfig(num_domains=num_domains,
+                          **{key: getattr(cfg, key) for key in _MODEL_KEYS})
 
 
 def _read_base_index(path):
@@ -232,34 +279,11 @@ def cmd_train(args):
         out_dir=cfg.out_dir, ckpt_every=cfg.ckpt_every,
         resume_from=args.resume, grad_clip=cfg.grad_clip or None, log_fn=log)
     final = os.path.join(cfg.out_dir, "ckpt_final.olck")
-    # What `sample` needs to rebuild the model and its sensor.
-    extra = {"denoiser": dataclasses.asdict(dconf), "schedule_t": cfg.schedule_t,
-             **{key: getattr(cfg, key) for key in _SENSOR_KEYS}}
-    save_training_checkpoint(final, params, opt, cfg.train_steps, cfg.seed,
-                             extra=extra)
+    save_training_checkpoint(
+        final, params, opt, cfg.train_steps, cfg.seed,
+        extra={key: getattr(cfg, key) for key in _CHECKPOINT_KEYS})
     print(f"final checkpoint: {final}")
     return 0
-
-
-def _load_for_sampling(checkpoint):
-    buffers, meta = read_checkpoint(checkpoint)
-    missing = {"denoiser", "schedule_t", *_SENSOR_KEYS} - meta.keys()
-    if missing:
-        raise ConfigError(f"{checkpoint}: metadata lacks {sorted(missing)} "
-                          "(use the final checkpoint written by train)")
-    keys = ("schedule_t", *_SENSOR_KEYS)
-    check_meta_types(checkpoint, meta,
-                     ints=[key for key in keys if _FIELD_TYPES[key] is int],
-                     reals=[key for key in keys if _FIELD_TYPES[key] is float])
-    try:
-        dconf = DenoiserConfig(**{key: tuple(v) if isinstance(v, list) else v
-                                  for key, v in meta["denoiser"].items()})
-    except (AttributeError, TypeError) as exc:
-        raise ConfigError(f"{checkpoint}: bad denoiser config in metadata "
-                          f"({exc})") from None
-    params = init_denoiser(dconf, np.random.default_rng(0), dtype=np.float32)
-    _load_params(checkpoint, buffers, params)
-    return params, dconf, meta
 
 
 def _write_ppm(path, arr):
@@ -272,17 +296,35 @@ def _write_ppm(path, arr):
 
 def cmd_sample(args):
     cfg = parse_config(args.config)
+    if args.steps is not None:
+        cfg = dataclasses.replace(cfg, sampler_steps=args.steps)
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, seed=args.seed)
+    if args.count < 1:
+        raise ConfigError(f"--count must be at least 1, got {args.count}")
     specs = domain_specs_from_config(cfg)
     by_id = {s.id: s for s in specs}
     if args.domain not in by_id:
         raise ConfigError(f"unknown domain {args.domain!r}; known: "
                           + ", ".join(sorted(by_id)))
-    params, dconf, meta = _load_for_sampling(args.checkpoint)
-    schedule = diffusion.cosine_schedule(meta["schedule_t"])
-    steps = args.steps if args.steps else cfg.sampler_steps
-    seed = cfg.seed if args.seed is None else args.seed
-    sensor = sensor_from_config(dataclasses.replace(
-        cfg, **{key: meta[key] for key in _SENSOR_KEYS}))
+    # The model, its sensor and its schedule come from the checkpoint; the
+    # domains, the step count and the seed from the config.
+    buffers, meta = read_checkpoint(args.checkpoint)
+    missing = set(_CHECKPOINT_KEYS) - meta.keys()
+    if missing:
+        raise ConfigError(f"{args.checkpoint}: metadata lacks "
+                          f"{sorted(missing)} (use the final checkpoint "
+                          "written by train)")
+    try:
+        cfg = dataclasses.replace(
+            cfg, **{key: meta[key] for key in _CHECKPOINT_KEYS})
+    except ConfigError as exc:
+        raise ConfigError(f"{args.checkpoint}: {exc}") from None
+    dconf = denoiser_config_from(cfg, len(specs))
+    params = init_denoiser(dconf, np.random.default_rng(0), dtype=np.float32)
+    _load_params(args.checkpoint, buffers, params)
+    schedule = diffusion.cosine_schedule(cfg.schedule_t)
+    sensor = sensor_from_config(cfg)
     spec = by_id[args.domain]
     prompt = forge.sample_prompt(spec, "infer")
     emb = conditioning.embed_prompt(prompt, dconf.token_count,
@@ -291,13 +333,14 @@ def cmd_sample(args):
     out_dir = args.out or os.path.join(cfg.out_dir, "samples", args.domain)
     os.makedirs(out_dir, exist_ok=True)
     for i in range(args.count):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, dom_idx, i]))
+        rng = np.random.default_rng(
+            np.random.SeedSequence([cfg.seed, dom_idx, i]))
         batch = diffusion.ddpm_sample(
             params, dconf, schedule, emb[None].astype(np.float32),
-            np.array([dom_idx]), rng, steps=steps,
+            np.array([dom_idx]), rng, steps=cfg.sampler_steps,
             shape=(sensor.height, sensor.width))
         img = geometry.denormalize(batch[0], sensor)
-        stem = f"{args.domain}_s{seed}_{i:04d}"
+        stem = f"{args.domain}_s{cfg.seed}_{i:04d}"
         geometry.write_olri(os.path.join(out_dir, stem + ".olri"), img)
         if args.write_points:
             geometry.write_xyz(os.path.join(out_dir, stem + ".xyz"),
@@ -305,7 +348,7 @@ def cmd_sample(args):
         if args.ppm:
             _write_ppm(os.path.join(out_dir, stem + ".ppm"), batch[0])
     print(f"wrote {args.count} samples for {args.domain} "
-          f"(prompt: {prompt!r}, steps={steps}) to {out_dir}")
+          f"(prompt: {prompt!r}, steps={cfg.sampler_steps}) to {out_dir}")
     return 0
 
 
@@ -360,7 +403,7 @@ def build_parser():
     s.add_argument("--checkpoint", required=True)
     s.add_argument("--domain", required=True)
     s.add_argument("--count", type=int, default=1)
-    s.add_argument("--steps", type=int, default=0,
+    s.add_argument("--steps", type=int,
                    help="sampling steps (default from config, 256)")
     s.add_argument("--seed", type=int)
     s.add_argument("--out")

@@ -46,8 +46,12 @@ class SensorConfig:
 
 
 # 64-beam default used by the vehicle/weather domains; beam-reduced
-# variants keep the FOV and halve the row count.
-DEFAULT_SENSOR = SensorConfig(64, 1024, math.radians(3.0), math.radians(-25.0), 80.0)
+# variants keep the FOV and halve the row count. Configs give the FOV in
+# degrees, and radians do not convert back to them exactly.
+DEFAULT_FOV_UP_DEG = 3.0
+DEFAULT_FOV_DOWN_DEG = -25.0
+DEFAULT_SENSOR = SensorConfig(64, 1024, math.radians(DEFAULT_FOV_UP_DEG),
+                              math.radians(DEFAULT_FOV_DOWN_DEG), 80.0)
 
 
 @dataclass

@@ -6,16 +6,16 @@ out. Useful for smoke training and for checking that conditioning
 actually steers generation.
 """
 
-import math
+import dataclasses
 import os
 
 import numpy as np
 
 from .denoiser import DenoiserConfig
 from .forge import DomainSpec
-from .geometry import RangeImage, SensorConfig, write_olri
+from .geometry import DEFAULT_SENSOR, RangeImage, write_olri
 
-TOY_SENSOR = SensorConfig(16, 64, math.radians(3.0), math.radians(-25.0), 80.0)
+TOY_SENSOR = dataclasses.replace(DEFAULT_SENSOR, height=16, width=64)
 
 # Run-config values that a `toy = true` config takes for every key it
 # leaves unset.
@@ -51,11 +51,9 @@ def toy_domain_specs():
 
 def toy_denoiser_config():
     """The denoiser a `toy = true` run trains, as a DenoiserConfig."""
-    return DenoiserConfig(
-        num_domains=len(TOY_RANGES),
-        **{key: TOY_PRESET[key] for key in (
-            "widths", "attn_stages", "cdfm_stages", "time_width", "cond_dim",
-            "dk")})
+    fields = {f.name for f in dataclasses.fields(DenoiserConfig)}
+    return DenoiserConfig(num_domains=len(TOY_RANGES), **{
+        key: value for key, value in TOY_PRESET.items() if key in fields})
 
 
 def _toy_scan(rng, lo, hi, cfg):

@@ -137,6 +137,7 @@ def _mean_normalized_range(img):
     return float(norm[0][np.asarray(img.valid)].mean())
 
 
+@pytest.mark.slow
 def test_criterion_7_conditional_control(capsys, tmp_path):
     with _criterion(capsys, 7, "toy smoke: loss halves and conditional "
                     "samples separate by >=3 pooled SE", 900):
@@ -200,6 +201,7 @@ ABLATIONS = {
 }
 
 
+@pytest.mark.slow
 def test_criterion_8_ablation_harness(capsys, tmp_path):
     with _criterion(capsys, 8, "sampler/CDFM/DAFS ablations run from config "
                     "alone with complete reports", 1800):

@@ -6,8 +6,9 @@ import struct
 
 import pytest
 
-from rangegen import cli, toy
+from rangegen import cli, geometry, toy
 from rangegen.checkpoint import read_checkpoint, write_checkpoint
+from rangegen.denoiser import DenoiserConfig
 from rangegen.errors import ConfigError
 
 
@@ -68,6 +69,26 @@ def test_malformed_config_value_exits_1(tmp_path, capsys, line):
     assert cli.main(["train", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("line", [
+    "groups = 0", "ckpt_every = 0", "widths =", "dk = 0", "time_width = 0",
+    "token_count = 0", "train_steps = -1", "seed = -1", "lr = nan"])
+def test_out_of_range_config_value_exits_1(tmp_path, capsys, line):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"toy = true\n{line}\n")
+    key = line.split("=")[0].strip()
+    with pytest.raises(ConfigError, match=f"bad.cfg: config key '{key}'"):
+        cli.parse_config(str(path))
+    assert cli.main(["train", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_config_defaults_are_the_model_and_sensor_defaults():
+    cfg = cli.RunConfig()
+    assert cli.sensor_from_config(cfg) == geometry.DEFAULT_SENSOR
+    assert cli.denoiser_config_from(cfg, 8) == DenoiserConfig()
 
 
 def test_toy_preset_fills_unset_keys(tmp_path):
@@ -215,6 +236,56 @@ def test_sample_default_steps_from_config(trained, capsys):
     assert "steps=64" in capsys.readouterr().out  # toy preset sampler_steps
 
 
+def test_sample_takes_model_sensor_and_schedule_from_checkpoint(trained,
+                                                                tmp_path):
+    src_tmp, cfg = trained
+    other = _write_config(tmp_path, data_dir=str(src_tmp / "data"),
+                          widths="16,32", schedule_t="32", image_width="32")
+    ckpt = str(src_tmp / "run" / "ckpt_final.olck")
+    for name, config in (("train_cfg", cfg), ("other_cfg", other)):
+        assert cli.main(["sample", "--config", config, "--checkpoint", ckpt,
+                         "--domain", "ToyFar", "--count", "2", "--steps", "4",
+                         "--seed", "3", "--out", str(tmp_path / name)]) == 0
+    names = sorted(os.listdir(tmp_path / "train_cfg"))
+    assert names == sorted(os.listdir(tmp_path / "other_cfg")) and names
+    for name in names:
+        assert ((tmp_path / "train_cfg" / name).read_bytes()
+                == (tmp_path / "other_cfg" / name).read_bytes()), name
+
+
+def test_sample_under_more_domains_than_trained_exits_1(trained, tmp_path,
+                                                       capsys):
+    src_tmp, _ = trained
+    cfg = tmp_path / "eight.cfg"
+    cfg.write_text(f"out_dir = {tmp_path / 'run'}\n")
+    ckpt = str(src_tmp / "run" / "ckpt_final.olck")
+    assert cli.main(["sample", "--config", str(cfg), "--checkpoint", ckpt,
+                     "--domain", "Quadruped", "--steps", "2",
+                     "--out", str(tmp_path / "samples")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ckpt in err and "shape" in err
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("train", "--steps -1"), ("sample", "--steps -5"),
+    ("sample", "--count -1"), ("sample", "--seed -2")])
+def test_bad_command_flag_exits_1(trained, tmp_path, capsys, command, flags):
+    src_tmp, _ = trained
+    cfg = _write_config(tmp_path, data_dir=str(src_tmp / "data"))
+    if command == "train":
+        argv = ["train", "--config", cfg]
+    else:
+        argv = ["sample", "--config", cfg, "--checkpoint",
+                str(src_tmp / "run" / "ckpt_final.olck"), "--domain",
+                "ToyNear", "--out", str(tmp_path / "samples")]
+    assert cli.main(argv + flags.split()) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+    assert not (tmp_path / "samples").exists()
+
+
 # Metadata values of the wrong type or range: how -> (the command that
 # reads the key, key, value).
 _BAD_META = {
@@ -228,6 +299,7 @@ _BAD_META = {
     "image_height_float": ("sample", "image_height", 16.0),
     "fov_up_inf": ("sample", "fov_up_deg", float("inf")),
     "r_max_str": ("sample", "r_max", "far"),
+    "widths_str": ("sample", "widths", "8,x"),
 }
 
 
@@ -245,7 +317,9 @@ def _damage(src, dst, how):
     if how == "missing_key":
         del meta["lr"], meta["schedule_t"]  # one key of resume, one of sample
     elif how == "bad_denoiser":
-        meta["denoiser"]["no_such_field"] = 1
+        meta["groups"] = 0
+    elif how == "old_layout":  # the model config nested under "denoiser"
+        meta["denoiser"] = {key: meta.pop(key) for key in cli._MODEL_KEYS}
     elif how in _BAD_META:
         _, key, value = _BAD_META[how]
         meta[key] = value
@@ -258,7 +332,7 @@ def _damage(src, dst, how):
 @pytest.mark.parametrize("command, how", [
     (command, how) for command in ("train", "sample")
     for how in ("truncated", "bad_meta", "missing_key", "shape")
-] + [("sample", "bad_denoiser")] + [
+] + [("sample", "bad_denoiser"), ("sample", "old_layout")] + [
     (command, how) for how, (command, _, _) in _BAD_META.items()
 ])
 def test_damaged_checkpoint_exits_1(trained, tmp_path, capsys, command, how):
