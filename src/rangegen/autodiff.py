@@ -8,11 +8,29 @@ immutable after creation; ``backward()`` from a scalar loss populates
 Tests run everything in float64; training uses float32 for speed and so
 checkpoints round-trip bit-exactly.
 
+Gradient ownership and layout. ``_accum`` stores a tensor's first
+gradient as is, without a copy, when it is C-contiguous and already has
+the tensor's dtype; any other first gradient is copied with its layout
+kept (numpy's "K" order). Each later gradient is added out of place into
+a new buffer of the stored gradient's layout. So a stored gradient may be
+shared with another tensor (``add(a, b)`` hands both parents the same
+array) or be a view of one, and nothing may write into it: code that
+rescales gradients, such as gradient clipping, replaces ``.grad``. The
+layout rule is part of the numerics, not only of the speed. Reductions
+such as a gradient norm or a bias gradient read memory in layout order,
+and an upstream ``g`` may be a transposed view, so building a result in a
+C-ordered buffer where the plain expression would follow ``g``'s layout
+changes the last bit of later sums.
+
 Convolution is lowered to matrix products (im2col, Chellapilla et al.
-2006). The padded input ``xp`` of shape (B, C, Hp, Wp) is unfolded into
-columns of shape (B, C*kh*kw, Hs*Ws), channel-major: row ``(c, i, j)``
-holds ``xp[:, c, i + stride*h, j + stride*w]`` for every output pixel
-``(h, w)``. The forward pass is then one batched matmul with the
+2006). ``_pad_conv`` fills one new buffer with the input, ph zero rows
+above and below and pw wrapped azimuth columns on each side. The padded
+input ``xp`` of shape (B, C, Hp, Wp) is unfolded into columns of shape
+(B, C*kh*kw, Hs*Ws), channel-major: row ``(c, i, j)`` holds
+``xp[:, c, i + stride*h, j + stride*w]`` for every output pixel
+``(h, w)``. ``_im2col`` builds them as one strided
+(B, C, kh, kw, Hs, Ws) view of ``xp`` and one reshape copy. The forward
+pass is then one batched matmul with the
 (O, C*kh*kw) kernel matrix, and its (B, O, Hs*Ws) result is already
 contiguous BCHW. Backward takes the weight gradient as ``g @ cols^T`` and
 the input gradient as ``w^T @ g`` folded back onto ``xp`` (col2im). The
@@ -129,12 +147,19 @@ def _make(data, parents, backward):
 
 
 def _accum(t, g):
+    """Add gradient `g` into `t.grad` (see the module docstring's ownership
+    rule: a C-ordered first gradient of the right dtype is stored as is, and
+    nothing ever writes into a stored gradient)."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype, copy=True)
+        if (isinstance(g, np.ndarray) and g.dtype == t.data.dtype
+                and g.flags.c_contiguous):
+            t.grad = g
+        else:
+            t.grad = np.array(g, dtype=t.data.dtype, copy=True)
     else:
-        t.grad += g
+        t.grad = np.add(t.grad, g, out=np.empty_like(t.grad))
 
 
 def _unbroadcast(g, shape):
@@ -371,10 +396,13 @@ def layer_norm(x, gain, bias, eps=1e-5, axis=-1):
     feat = [1] * nd
     feat[axis] = x.data.shape[axis]
     g = gain.data.reshape(feat)
-    xc = x.data - x.data.mean(axis=axis, keepdims=True)
-    inv = ((xc * xc).mean(axis=axis, keepdims=True) + eps) ** -0.5
-    xhat = xc * inv
-    data = xhat * g + bias.data.reshape(feat)
+    xhat = x.data - x.data.mean(axis=axis, keepdims=True)
+    inv = (xhat * xhat).mean(axis=axis, keepdims=True)
+    inv += eps
+    inv **= -0.5
+    xhat *= inv
+    data = xhat * g
+    data += bias.data.reshape(feat)
     others = tuple(i for i in range(nd) if i != axis)
 
     def bwd(gy):
@@ -396,20 +424,30 @@ def layer_norm(x, gain, bias, eps=1e-5, axis=-1):
 # ---------------------------------------------------------------------------
 
 def _pad_conv(x, ph, pw):
+    """x padded by ph zero rows and pw wrapped azimuth columns on each side,
+    filled into one new C-ordered buffer (needs pw <= W)."""
+    B, C, H, W = x.shape
+    xp = np.empty((B, C, H + 2 * ph, W + 2 * pw), dtype=x.dtype)
+    xp[:, :, :ph] = 0
+    xp[:, :, ph + H:] = 0
+    rows = xp[:, :, ph : ph + H]
+    rows[..., pw : pw + W] = x
     if pw:
-        x = np.pad(x, ((0, 0), (0, 0), (0, 0), (pw, pw)), mode="wrap")
-    if ph:
-        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (0, 0)), mode="constant")
-    return x
+        rows[..., :pw] = x[..., W - pw:]
+        rows[..., pw + W:] = x[..., :pw]
+    return xp
 
 
 def _im2col(xp, kh, kw, stride):
-    """Columns (B, C*kh*kw, Hs*Ws) of the padded input, channel-major."""
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]
-    B, C, Hs, Ws = win.shape[:4]
-    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3))
-    return cols.reshape(B, C * kh * kw, Hs * Ws)
+    """Columns (B, C*kh*kw, Hs*Ws) of the padded input, channel-major: one
+    strided (B, C, kh, kw, Hs, Ws) window view of `xp` and one copy."""
+    B, C, Hp, Wp = xp.shape
+    Hs, Ws = (Hp - kh) // stride + 1, (Wp - kw) // stride + 1
+    sB, sC, sH, sW = xp.strides
+    win = np.lib.stride_tricks.as_strided(
+        xp, (B, C, kh, kw, Hs, Ws),
+        (sB, sC, sH, sW, stride * sH, stride * sW), writeable=False)
+    return win.reshape(B, C * kh * kw, Hs * Ws)
 
 
 def conv2d(x, w, b=None, stride=1):
@@ -425,6 +463,8 @@ def conv2d(x, w, b=None, stride=1):
         )
     ph, pw = kh // 2, kw // 2
     B, C, H, W = x.data.shape
+    if pw > W:
+        raise ShapeError(f"conv2d: kernel {w.shape} is wider than 2*{W}+1")
     Hs, Ws = (H - 1) // stride + 1, (W - 1) // stride + 1
     xp = _pad_conv(x.data, ph, pw)
     w2 = w.data.reshape(O, C * kh * kw)
@@ -433,7 +473,7 @@ def conv2d(x, w, b=None, stride=1):
     parents = [x, w]
     if b is not None:
         b = _wrap(b)
-        data = data + b.data[:, None, None]
+        data += b.data[:, None, None]
         parents.append(b)
 
     def bwd(g):
@@ -468,11 +508,15 @@ def conv2d(x, w, b=None, stride=1):
 def upsample2x(x):
     """Nearest-neighbor 2x spatial upsampling of a BCHW tensor."""
     x = _wrap(x)
-    data = x.data.repeat(2, axis=2).repeat(2, axis=3)
+    B, C, H, W = x.data.shape
+    # Columns by a repeat, rows by one broadcast copy of whole rows: twice
+    # as fast as a broadcast copy of single pixels, whose inner run is 2.
+    cols = x.data.repeat(2, axis=3)
+    data = np.broadcast_to(cols[:, :, :, None], (B, C, H, 2, 2 * W)).reshape(
+        B, C, 2 * H, 2 * W)
 
     def bwd(g):
-        B, C, H2, W2 = g.shape
-        _accum(x, g.reshape(B, C, H2 // 2, 2, W2 // 2, 2).sum(axis=(3, 5)))
+        _accum(x, g.reshape(B, C, H, 2, W, 2).sum(axis=(3, 5)))
 
     return _make(data, (x,), bwd)
 
@@ -490,7 +534,7 @@ def recurrence(abar, q):
     h = backend.scan_forward(abar.data, q.data)
 
     def bwd(g):
-        dabar, dq = backend.scan_backward(abar.data, h, np.ascontiguousarray(g))
+        dabar, dq = backend.scan_backward(abar.data, h, g)
         _accum(abar, dabar)
         _accum(q, dq)
 

@@ -15,33 +15,46 @@ USE_NUMBA = False
 # ---------------------------------------------------------------------------
 
 def scan_forward(abar, q):
+    """h (B, L, C), C-ordered, in q's dtype.
+
+    The loop runs over time-major (L, B, C) copies in the operands' common
+    dtype, so each step is two `out=` ufuncs on contiguous rows and the
+    state is rounded to q's dtype once, at the end.
+    """
     B, L, C = q.shape
-    h = np.empty_like(q)
-    prev = np.zeros((B, C), dtype=q.dtype)
-    for s in range(L):
-        prev = abar[:, s, :] * prev + q[:, s, :]
-        h[:, s, :] = prev
-    return h
+    dt = np.result_type(abar, q)
+    a = np.ascontiguousarray(abar.transpose(1, 0, 2), dtype=dt)
+    qt = np.ascontiguousarray(q.transpose(1, 0, 2), dtype=dt)
+    h = np.empty((L, B, C), dtype=dt)
+    prev = np.zeros((B, C), dtype=dt)
+    for a_s, q_s, h_s in zip(a, qt, h):
+        np.multiply(a_s, prev, out=h_s)
+        np.add(h_s, q_s, out=h_s)
+        prev = h_s
+    return np.ascontiguousarray(h.transpose(1, 0, 2), dtype=q.dtype)
 
 
 def scan_backward(abar, h, gh):
     """Backward of the recurrence.
 
-    Returns (d_abar, d_q) given upstream gradient gh w.r.t. h.
+    Returns (d_abar, d_q), C-ordered (B, L, C) in h's dtype, given the
+    upstream gradient gh w.r.t. h. The d_q loop runs time-major like
+    `scan_forward`; d_abar[s] = d_q[s] * h[s-1] is one product after it.
     """
     B, L, C = h.shape
-    dq = np.empty_like(h)
-    dabar = np.empty_like(h)
-    acc = np.zeros((B, C), dtype=h.dtype)
-    for s in range(L - 1, -1, -1):
-        acc = gh[:, s, :] + acc
-        dq[:, s, :] = acc
-        if s > 0:
-            dabar[:, s, :] = acc * h[:, s - 1, :]
-        else:
-            dabar[:, s, :] = 0.0
-        acc = abar[:, s, :] * acc
-    return dabar, dq
+    dt = np.result_type(abar, h, gh)
+    a = np.ascontiguousarray(abar.transpose(1, 0, 2), dtype=dt)
+    g = np.ascontiguousarray(gh.transpose(1, 0, 2), dtype=dt)
+    dq = np.empty((L, B, C), dtype=dt)
+    acc = np.zeros((B, C), dtype=dt)
+    for a_s, g_s, dq_s in zip(a[::-1], g[::-1], dq[::-1]):
+        np.add(g_s, acc, out=dq_s)
+        np.multiply(a_s, dq_s, out=acc)
+    dq = dq.transpose(1, 0, 2)
+    dabar = np.empty((B, L, C), dtype=h.dtype)
+    dabar[:, :1] = 0.0
+    np.multiply(dq[:, 1:], h[:, :-1], out=dabar[:, 1:])
+    return dabar, np.ascontiguousarray(dq, dtype=h.dtype)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Configuration comes from a line-based "key = value" file; command-line
 flags override file values. Every command is deterministic given its
 config and seed. Exit codes: 0 success, 1 user/config error,
-2 internal invariant violation.
+2 internal invariant violation; with RANGEGEN_TRACEBACK=1 in the
+environment, an internal error also prints its traceback to stderr.
 """
 
 import argparse
@@ -13,6 +14,7 @@ import json
 import math
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -65,6 +67,12 @@ class RunConfig:
     def __post_init__(self):
         for key, kind in _FIELD_TYPES.items():
             setattr(self, key, _checked(key, kind, getattr(self, key)))
+        for key in ("attn_stages", "cdfm_stages"):
+            stages = getattr(self, key)
+            if any(stage > len(self.widths) for stage in stages):
+                raise ConfigError(
+                    f"config key {key!r} must name stages 1..{len(self.widths)}"
+                    f" of widths {list(self.widths)}, got {list(stages)}")
         # The sensor and the denoiser check how values fit together: the
         # FOV order, r_max > 0, the grid size and the widths per group.
         sensor_from_config(self)
@@ -217,6 +225,18 @@ def _read_base_index(path):
     return entries
 
 
+def _check_toy_grid(cfg):
+    """A toy corpus is always TOY_SENSOR's grid, so a toy config that names
+    another would train on one grid and store the other in its checkpoint.
+    `sample` may parse such a config: it takes the grid from the checkpoint."""
+    grid = (toy.TOY_SENSOR.height, toy.TOY_SENSOR.width)
+    if cfg.toy and (cfg.image_height, cfg.image_width) != grid:
+        raise ConfigError(
+            f"a toy = true config needs image_height = {grid[0]} and "
+            f"image_width = {grid[1]}, got {cfg.image_height} and "
+            f"{cfg.image_width}")
+
+
 def _base_corpora(cfg):
     if cfg.toy:
         return toy.make_toy_corpus(cfg.data_dir, cfg.toy_scans, cfg.seed)
@@ -238,6 +258,7 @@ def _base_corpora(cfg):
 
 def cmd_build_data(args):
     cfg = parse_config(args.config, {"toy": True} if args.toy else None)
+    _check_toy_grid(cfg)
     base = _base_corpora(cfg)
     specs = domain_specs_from_config(cfg)
     index, summary = forge.build_dataset(base, specs, cfg.data_dir, cfg.seed)
@@ -258,6 +279,7 @@ def cmd_train(args):
         cfg = dataclasses.replace(cfg, sampler=args.sampler)
     if args.steps is not None:
         cfg = dataclasses.replace(cfg, train_steps=args.steps)
+    _check_toy_grid(cfg)
     specs = domain_specs_from_config(cfg)
     index_path = os.path.join(cfg.data_dir, "index.tsv")
     if not os.path.exists(index_path):
@@ -427,6 +449,8 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal invariant violation
+        if os.environ.get("RANGEGEN_TRACEBACK") == "1":
+            traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
 

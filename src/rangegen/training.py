@@ -160,6 +160,9 @@ def train(params, config, schedule, data_dir, index, specs, steps, seed,
         meta = load_training_checkpoint(resume_from, params, opt)
         start_step = meta["step"]
         seed = meta["seed"]
+        if steps < start_step:
+            raise ConfigError(f"cannot train to step {steps}: {resume_from} "
+                              f"is already at step {start_step}")
     dom_to_idx = {s.id: i for i, s in enumerate(specs)}
     cache = ScanCache(data_dir, config)
     batches = SAMPLERS[sampler](index, specs, batch_size, seed,
@@ -214,7 +217,8 @@ def _clip_grads(params, max_norm):
             total += float((p.grad.astype(np.float64) ** 2).sum())
     norm = np.sqrt(total)
     if norm > max_norm:
+        # Out of place: a stored gradient may be shared (autodiff._accum).
         scale = np.float32(max_norm / norm)
         for p in params.values():
             if p.grad is not None:
-                p.grad *= scale
+                p.grad = p.grad * scale

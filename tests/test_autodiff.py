@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import check_grads, rel_err
 
 from rangegen import autodiff as ad
+from rangegen import backend
 from rangegen.checkpoint import MAGIC, VERSION, read_checkpoint, write_checkpoint
 from rangegen.errors import ConfigError, NumericError, ShapeError, TrainingError
 from rangegen.optim import AdamW
@@ -242,6 +243,78 @@ def test_embedding_grads(seed):
     idx = rng.integers(0, 4, size=5)
     check_grads(lambda t: ad.tsum(ad.mul(ad.embedding(t, idx), 2.0)),
                 [table], tol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Hot-path kernels: bit-identical to their plain definitions
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("ph, pw", [(0, 0), (0, 1), (1, 0), (1, 1)])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_pad_conv_and_im2col_match_np_pad_reference(ph, pw, stride):
+    rng = np.random.default_rng(ph * 10 + pw * 2 + stride)
+    x = rng.standard_normal((2, 3, 5, 7)).astype(np.float32)
+    ref = np.pad(x, ((0, 0), (0, 0), (0, 0), (pw, pw)), mode="wrap")
+    ref = np.pad(ref, ((0, 0), (0, 0), (ph, ph), (0, 0)))
+    xp = ad._pad_conv(x, ph, pw)
+    assert xp.dtype == x.dtype and xp.flags.c_contiguous
+    np.testing.assert_array_equal(xp, ref)
+    kh, kw = 2 * ph + 1, 2 * pw + 1
+    win = np.lib.stride_tricks.sliding_window_view(ref, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]
+    B, C, Hs, Ws = win.shape[:4]
+    ref_cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(B, C * kh * kw, Hs * Ws)
+    cols = ad._im2col(xp, kh, kw, stride)
+    assert cols.flags.c_contiguous
+    np.testing.assert_array_equal(cols, ref_cols)
+
+
+def _scan_reference(abar, q, g):
+    """The recurrence and its backward as plain per-step loops."""
+    B, L, C = q.shape
+    h = np.empty_like(q)
+    prev = np.zeros((B, C), dtype=q.dtype)
+    for s in range(L):
+        prev = abar[:, s] * prev + q[:, s]
+        h[:, s] = prev
+    dabar, dq = np.zeros_like(q), np.empty_like(q)
+    acc = np.zeros((B, C), dtype=q.dtype)
+    for s in range(L - 1, -1, -1):
+        acc = g[:, s] + acc
+        dq[:, s] = acc
+        if s > 0:
+            dabar[:, s] = acc * h[:, s - 1]
+        acc = abar[:, s] * acc
+    return h, dabar, dq
+
+
+@pytest.mark.parametrize("L", [1, 2, 9])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_scan_kernels_match_sequential_loop(L, dtype):
+    rng = np.random.default_rng(L)
+    abar, q, g = (rng.uniform(0.1, 0.99, (3, L, 4)).astype(dtype),
+                  rng.standard_normal((3, L, 4)).astype(dtype),
+                  rng.standard_normal((3, L, 4)).astype(dtype))
+    h_ref, dabar_ref, dq_ref = _scan_reference(abar, q, g)
+    h = backend.scan_forward(abar, q)
+    # The upstream gradient may arrive as a non-contiguous view.
+    g_view = np.asfortranarray(g)
+    dabar, dq = backend.scan_backward(abar, h, g_view)
+    for got, ref in ((h, h_ref), (dabar, dabar_ref), (dq, dq_ref)):
+        assert got.dtype == dtype and got.flags.c_contiguous
+        assert np.array_equal(got, ref)
+
+
+def test_further_gradient_leaves_shared_first_gradient_unchanged():
+    rng = np.random.default_rng(0)
+    a = ad.Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+    b = ad.Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+    g = rng.standard_normal((2, 3))
+    ad.add(a, b)._backward(g)  # both parents take g as their first gradient
+    more = rng.standard_normal((2, 3))
+    ad._accum(a, more)
+    np.testing.assert_array_equal(b.grad, g)
+    np.testing.assert_array_equal(a.grad, g + more)
 
 
 # ---------------------------------------------------------------------------

@@ -112,9 +112,26 @@ def test_toy_preset_trains_the_toy_denoiser(tmp_path):
 
 def test_config_comments_and_types(tmp_path):
     path = tmp_path / "c.cfg"
-    path.write_text("seed = 3  # comment\nwidths = 8,16\nuse_cdfm = false\n")
+    path.write_text("seed = 3  # comment\nwidths = 8,16\nuse_cdfm = false\n"
+                    "attn_stages = 2\ncdfm_stages = 2\n")
     cfg = cli.parse_config(str(path))
     assert cfg.seed == 3 and cfg.widths == (8, 16) and cfg.use_cdfm is False
+
+
+@pytest.mark.parametrize("lines, key", [
+    ("widths = 8,16\n", "attn_stages"),  # the default stages are 2,3 and 3
+    ("widths = 8,16\nattn_stages = 2\n", "cdfm_stages"),
+    ("toy = true\nattn_stages = 1,3\n", "attn_stages"),
+    ("toy = true\ncdfm_stages = 3\nuse_cdfm = false\n", "cdfm_stages")],
+    ids=["default_attn", "default_cdfm", "toy_attn", "toy_cdfm_off"])
+def test_stage_beyond_widths_exits_1(tmp_path, capsys, lines, key):
+    path = tmp_path / "bad.cfg"
+    path.write_text(lines)
+    with pytest.raises(ConfigError, match=f"bad.cfg: config key '{key}'"):
+        cli.parse_config(str(path))
+    assert cli.main(["train", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +202,36 @@ def test_train_resume_other_widths_exits_1(trained, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "shape" in err and not (tmp_path / "run").exists()
+
+
+def test_train_resume_below_checkpoint_step_exits_1(trained, tmp_path,
+                                                   capsys):
+    src_tmp, _ = trained
+    run = tmp_path / "run"
+    shutil.copytree(src_tmp / "run", run)
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    cfg = _write_config(tmp_path, data_dir=str(src_tmp / "data"))
+    assert cli.main(["train", "--config", cfg, "--steps", "3", "--resume",
+                     str(run / "ckpt_0000006.olck")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "step 6" in err
+    # No final checkpoint labelled step 3 over step-6 parameters.
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
+@pytest.mark.parametrize("command", ["build-data", "train"])
+def test_toy_config_with_another_grid_exits_1(trained, tmp_path, capsys,
+                                              command):
+    src_tmp, _ = trained
+    data_dir = tmp_path / "data" if command == "build-data" else src_tmp / "data"
+    cfg = _write_config(tmp_path, data_dir=str(data_dir), image_width=32)
+    steps = ["--steps", "1"] if command == "train" else []
+    assert cli.main([command, "--config", cfg, *steps]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "image_width" in err
+    assert not (tmp_path / "data").exists() and not (tmp_path / "run").exists()
 
 
 def test_train_without_dataset_fails(tmp_path, capsys):
@@ -422,3 +469,26 @@ def test_internal_error_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli.forge, "build_dataset", boom)
     assert cli.main(["build-data", "--config", cfg]) == 2
     assert "internal error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [None, "0", "1"])
+def test_internal_error_traceback_on_request(tmp_path, monkeypatch, capsys,
+                                             flag):
+    cfg = _write_config(tmp_path)
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("invariant violated")
+
+    monkeypatch.setattr(cli.forge, "build_dataset", boom)
+    if flag is None:
+        monkeypatch.delenv("RANGEGEN_TRACEBACK", raising=False)
+    else:
+        monkeypatch.setenv("RANGEGEN_TRACEBACK", flag)
+    assert cli.main(["build-data", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("internal error: invariant violated\n")
+    if flag == "1":
+        assert err.startswith("Traceback (most recent call last):")
+        assert "in boom" in err and "RuntimeError: invariant violated" in err
+    else:
+        assert err.count("\n") == 1

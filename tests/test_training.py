@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from rangegen import autodiff as ad
 from rangegen import diffusion, forge, toy, training
 from rangegen.checkpoint import read_checkpoint, write_checkpoint
 from rangegen.denoiser import init_denoiser
@@ -164,6 +165,19 @@ def test_train_resume_bit_identical(tmp_path):
     assert resumed_trace == tail_full
     for name in params:
         np.testing.assert_array_equal(params2[name].data, params[name].data)
+
+
+def test_clip_grads_scales_a_shared_gradient_once_per_parameter():
+    grad = np.array([3.0, 4.0], dtype=np.float32)
+    params = {name: ad.Tensor(np.zeros(2, np.float32), requires_grad=True)
+              for name in ("a", "b")}
+    for p in params.values():
+        p.grad = grad  # one array, as autodiff._accum may store it
+    training._clip_grads(params, 1.0)
+    expect = grad * np.float32(1.0 / math.sqrt(50.0))
+    for p in params.values():
+        np.testing.assert_array_equal(p.grad, expect)
+    np.testing.assert_array_equal(grad, [3.0, 4.0])
 
 
 def test_train_unknown_sampler_rejected(tmp_path):
