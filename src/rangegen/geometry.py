@@ -129,17 +129,6 @@ def pixel_angles(cfg):
     return azimuth, elevation
 
 
-def pixel_rays(cfg):
-    """Unit direction of every pixel center; shape (H, W, 3)."""
-    az, el = pixel_angles(cfg)
-    cos_el = np.cos(el)[:, None]
-    dirs = np.empty((cfg.height, cfg.width, 3), dtype=np.float64)
-    dirs[:, :, 0] = cos_el * np.cos(az)[None, :]
-    dirs[:, :, 1] = cos_el * np.sin(az)[None, :]
-    dirs[:, :, 2] = np.sin(el)[:, None]
-    return dirs
-
-
 def rasterize(pc, cfg, return_stats=False):
     """Nearest-return rasterization; range ties go to the lower point index.
 
@@ -173,12 +162,24 @@ def rasterize(pc, cfg, return_stats=False):
 
 
 def unproject(img):
-    """One point per valid pixel, along the pixel-center ray at stored range."""
+    """One point per valid pixel, along the pixel-center ray at stored range.
+
+    Only the valid pixels are gathered. Each coordinate keeps the product
+    order (cos(el) * cos(az)) * r, so a point equals, bit for bit, the
+    pixel's unit ray scaled by r.
+    """
     cfg = img.config
-    dirs = pixel_rays(cfg)
-    mask = img.valid
-    pts = dirs[mask] * img.range[mask].astype(np.float64)[:, None]
-    return PointCloud(pts, img.intensity[mask].astype(np.float64))
+    az, el = pixel_angles(cfg)
+    idx = np.flatnonzero(img.valid)
+    v, u = np.divmod(idx, cfg.width)
+    cos_el = np.cos(el).take(v)
+    r = img.range.reshape(-1).take(idx).astype(np.float64)
+    pts = np.empty((idx.size, 3))
+    pts[:, 0] = cos_el * np.cos(az).take(u) * r
+    pts[:, 1] = cos_el * np.sin(az).take(u) * r
+    pts[:, 2] = np.sin(el).take(v) * r
+    return PointCloud(pts, img.intensity.reshape(-1).take(idx)
+                      .astype(np.float64))
 
 
 # ---------------------------------------------------------------------------

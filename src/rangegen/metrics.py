@@ -1,12 +1,18 @@
 """Non-learned distribution metrics over bird's-eye-view occupancy.
 
 Scans are compared through 80x80 occupancy histograms (1 m bins over
-x, y in [-40, 40) m) built from unprojected points: Jensen-Shannon
+x, y in [-40, 40] m) built from unprojected points: Jensen-Shannon
 divergence between set-level histograms (base 2, bounded by 1) and the
 biased maximum mean discrepancy estimator with a Gaussian kernel on
 flattened per-scan histograms. Values are comparable within this
 artifact only; the histogram and kernel choices are fixed here, not by
 any external benchmark.
+
+Binning is np.histogram2d's over the edges -40, -39, ..., 40, computed
+directly: the edges are exact integers, so a coordinate's bin is
+floor(x) + 40. A point on the outer edge x == 40 (or y == 40) goes in the
+last bin, as histogram2d puts it; points outside the extent, NaN and
++-inf are dropped.
 """
 
 from dataclasses import dataclass
@@ -16,7 +22,7 @@ import numpy as np
 from .errors import MetricError
 
 BEV_EXTENT = 40.0  # meters, symmetric in x and y
-BEV_BINS = 80      # 1 m bins
+BEV_BINS = 80      # 1 m bins, which bev_histogram's floor binning needs
 
 
 @dataclass
@@ -31,13 +37,22 @@ class OccupancyHistogram:
 
 def bev_histogram(pc):
     """Normalized bird's-eye-view occupancy histogram of one point cloud."""
-    pts = pc.points
-    edges = np.linspace(-BEV_EXTENT, BEV_EXTENT, BEV_BINS + 1)
-    counts, _, _ = np.histogram2d(pts[:, 0], pts[:, 1], bins=(edges, edges))
-    total = counts.sum()
-    if total == 0:
+    x, y = pc.points[:, 0], pc.points[:, 1]
+    inside = ((x >= -BEV_EXTENT) & (x <= BEV_EXTENT) &
+              (y >= -BEV_EXTENT) & (y <= BEV_EXTENT))
+    ix = _bin_index(x[inside])
+    iy = _bin_index(y[inside])
+    if ix.size == 0:
         return OccupancyHistogram(np.zeros((BEV_BINS, BEV_BINS)), empty=True)
-    return OccupancyHistogram(counts / total, empty=False)
+    counts = np.bincount(ix * BEV_BINS + iy, minlength=BEV_BINS * BEV_BINS)
+    return OccupancyHistogram(counts.reshape(BEV_BINS, BEV_BINS) / ix.size,
+                              empty=False)
+
+
+def _bin_index(coord):
+    """1 m bin of in-extent coordinates; the outer edge joins the last bin."""
+    idx = np.floor(coord).astype(np.int64) + int(BEV_EXTENT)
+    return np.minimum(idx, BEV_BINS - 1, out=idx)
 
 
 def jsd(p, q):
@@ -85,8 +100,10 @@ def gaussian_kernel(a, b, bandwidth):
 def mmd(set_a, set_b, bandwidth=None):
     """Biased squared MMD between two sets of occupancy histograms.
 
-    Returns (raw value, bandwidth). Nonnegative and exactly zero for
-    identical multisets.
+    Returns (raw value, bandwidth). The estimator is a squared RKHS norm,
+    so it is nonnegative and zero for identical multisets up to rounding;
+    kaa and kab come from different BLAS routines, so a rounding residue
+    below zero is clamped to 0.
     """
     if not set_a or not set_b:
         raise MetricError("MMD of an empty set")
@@ -99,7 +116,7 @@ def mmd(set_a, set_b, bandwidth=None):
     kaa = gaussian_kernel(a, a, bandwidth).mean()
     kbb = gaussian_kernel(b, b, bandwidth).mean()
     kab = gaussian_kernel(a, b, bandwidth).mean()
-    return float(kaa + kbb - 2.0 * kab), float(bandwidth)
+    return max(0.0, float(kaa + kbb - 2.0 * kab)), float(bandwidth)
 
 
 UNAVAILABLE_METRICS = ("FRD", "FRID", "FSVD", "FPVD", "FPD")

@@ -3,6 +3,7 @@
 import numpy as np
 
 from rangegen import autodiff as ad
+from rangegen import geometry, metrics
 
 
 def rel_err(approx, exact):
@@ -61,3 +62,32 @@ def directional_fd(scalar_fn, arrays, grads, rng, eps=1e-5):
     fd = (scalar_fn(*plus) - scalar_fn(*minus)) / (2.0 * eps)
     analytic = sum(float((g * d).sum()) for g, d in zip(grads, dirs))
     return abs(fd - analytic) / max(abs(fd), 1e-8)
+
+
+# ---------------------------------------------------------------------------
+# Reference eval path: the full-grid ray table and np.histogram2d
+# ---------------------------------------------------------------------------
+
+def unproject_reference(img):
+    """Points and intensity from a full (H, W, 3) ray table and a mask."""
+    az, el = geometry.pixel_angles(img.config)
+    cos_el = np.cos(el)[:, None]
+    dirs = np.empty((img.config.height, img.config.width, 3))
+    dirs[:, :, 0] = cos_el * np.cos(az)[None, :]
+    dirs[:, :, 1] = cos_el * np.sin(az)[None, :]
+    dirs[:, :, 2] = np.sin(el)[:, None]
+    mask = img.valid
+    pts = dirs[mask] * img.range[mask].astype(np.float64)[:, None]
+    return pts, img.intensity[mask].astype(np.float64)
+
+
+def bev_histogram_reference(points):
+    """np.histogram2d over the BEV edges; normalized counts and emptiness."""
+    edges = np.linspace(-metrics.BEV_EXTENT, metrics.BEV_EXTENT,
+                        metrics.BEV_BINS + 1)
+    counts, _, _ = np.histogram2d(points[:, 0], points[:, 1],
+                                  bins=(edges, edges))
+    total = counts.sum()
+    if total == 0:
+        return counts, True
+    return counts / total, False

@@ -1,12 +1,15 @@
 """Command-line contract tests over the synthetic two-domain corpus."""
 
+import dataclasses
 import os
 import shutil
 import struct
 
+import numpy as np
 import pytest
 
-from rangegen import cli, geometry, toy
+from conftest import bev_histogram_reference, unproject_reference
+from rangegen import cli, geometry, metrics, toy
 from rangegen.checkpoint import read_checkpoint, write_checkpoint
 from rangegen.denoiser import DenoiserConfig
 from rangegen.errors import ConfigError
@@ -416,6 +419,48 @@ def test_eval_directory_against_itself(trained, capsys):
     assert abs(jsd) <= 1e-9 and abs(mmd) <= 1e-9
     assert "MMD(x1e4)" in out
     assert os.path.exists(tmp_path / "data" / "metrics.csv")
+
+
+def _write_synthetic_scans(directory, seed, count):
+    """Scans on the 64x1024 and Beam32 grids, part of each past 40 m."""
+    directory.mkdir()
+    rng = np.random.default_rng(seed)
+    paths = []
+    for i in range(count):
+        sensor = geometry.DEFAULT_SENSOR
+        if i % 2:
+            sensor = dataclasses.replace(sensor, height=sensor.height // 2)
+        shape = (sensor.height, sensor.width)
+        valid = rng.random(shape) < 0.8
+        rng_img = np.where(valid, rng.uniform(0.5, sensor.r_max, shape), 0.0)
+        img = geometry.RangeImage(rng_img, rng.random(shape), valid, sensor)
+        paths.append(str(directory / f"scan_{i:04d}.olri"))
+        geometry.write_olri(paths[-1], img)
+    return paths
+
+
+def _reference_histograms(paths):
+    hists = []
+    for path in paths:
+        pts, _ = unproject_reference(geometry.read_olri(path))
+        counts, empty = bev_histogram_reference(pts)
+        assert not empty
+        hists.append(metrics.OccupancyHistogram(counts, empty=False))
+    return hists
+
+
+def test_eval_matches_reference_path_byte_for_byte(tmp_path, capsys):
+    gen = _write_synthetic_scans(tmp_path / "gen", 11, 3)
+    ref = _write_synthetic_scans(tmp_path / "ref", 12, 4)
+    assert cli.main(["eval", "--generated", str(tmp_path / "gen"),
+                     "--reference", str(tmp_path / "ref")]) == 0
+    report = metrics.metric_report(_reference_histograms(gen),
+                                   _reference_histograms(ref))
+    assert (tmp_path / "gen" / "metrics.csv").read_bytes() == \
+        report["csv"].encode()
+    assert (tmp_path / "gen" / "metrics.txt").read_bytes() == \
+        report["text"].encode()
+    assert capsys.readouterr().out == report["text"]
 
 
 def test_eval_empty_directory_fails(tmp_path, capsys):

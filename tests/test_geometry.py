@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import unproject_reference
 from rangegen import geometry as geo
 from rangegen.errors import ConfigError
 
@@ -174,6 +175,40 @@ def test_unproject_all_invalid_is_empty():
     img = geo.RangeImage(np.zeros((16, 64)), np.zeros((16, 64)),
                          np.zeros((16, 64), dtype=bool), CFG)
     assert len(geo.unproject(img)) == 0
+
+
+def _assert_unproject_matches_reference(img):
+    pc = geo.unproject(img)
+    pts, inten = unproject_reference(img)
+    assert np.array_equal(pc.points, pts)
+    assert np.array_equal(pc.intensity, inten)
+
+
+def _random_image(rng, height, width, p_valid):
+    cfg = geo.SensorConfig(height, width, CFG.f_up, CFG.f_down, CFG.r_max)
+    valid = rng.random((height, width)) < p_valid
+    rng_img = np.where(valid, rng.uniform(0.1, cfg.r_max, valid.shape), 0.0)
+    return geo.RangeImage(rng_img.astype(np.float32),
+                          rng.random(valid.shape).astype(np.float32),
+                          valid, cfg)
+
+
+@pytest.mark.parametrize("height,width", [(16, 64), (32, 1024), (64, 1024)])
+@pytest.mark.parametrize("p_valid", [0.0, 0.05, 0.7, 1.0])
+def test_unproject_matches_ray_table_reference(height, width, p_valid):
+    rng = np.random.default_rng(height * width + int(100 * p_valid))
+    _assert_unproject_matches_reference(
+        _random_image(rng, height, width, p_valid))
+
+
+def test_unproject_single_last_pixel_matches_reference():
+    img = _random_image(np.random.default_rng(8), 32, 1024, 0.0)
+    img.valid[-1, -1] = True
+    img.range[-1, -1] = 79.75
+    img.intensity[-1, -1] = 0.25
+    pc = geo.unproject(img)
+    assert len(pc) == 1
+    _assert_unproject_matches_reference(img)
 
 
 def test_rasterize_unproject_bitwise_roundtrip():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import bev_histogram_reference
 from rangegen import metrics
 from rangegen.errors import MetricError
 from rangegen.geometry import PointCloud
@@ -52,6 +53,48 @@ def test_empty_input_flagged():
     assert h.empty
     h2 = metrics.bev_histogram(_pc([[500.0, 0.0, 0.0]]))
     assert h2.empty
+
+
+_EDGE = metrics.BEV_EXTENT
+_EDGE_VALUES = [
+    _EDGE, -_EDGE, 0.0, -0.0,
+    np.nextafter(_EDGE, 0.0), np.nextafter(_EDGE, np.inf),
+    np.nextafter(-_EDGE, 0.0), np.nextafter(-_EDGE, -np.inf),
+    np.nextafter(0.0, 1.0), np.nextafter(0.0, -1.0),
+    39.999999999, np.nan, np.inf, -np.inf, 1e300, -1e300, -1e-300,
+]
+
+
+def _assert_matches_histogram2d(points):
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    h = metrics.bev_histogram(_pc(points))
+    counts, empty = bev_histogram_reference(points)
+    assert h.empty == empty
+    assert h.counts.dtype == np.float64
+    assert np.array_equal(h.counts, counts)
+
+
+@pytest.mark.parametrize("value", _EDGE_VALUES, ids=lambda v: repr(float(v)))
+def test_binning_matches_histogram2d_at_edge_values(value):
+    _assert_matches_histogram2d([[value, 0.5, 0.0], [0.5, value, 0.0],
+                                 [value, value, 0.0], [-3.5, 7.5, 0.0]])
+
+
+def test_binning_matches_histogram2d_on_edge_value_grid():
+    x, y = np.meshgrid(_EDGE_VALUES, _EDGE_VALUES, indexing="ij")
+    _assert_matches_histogram2d(
+        np.stack([x.ravel(), y.ravel(), np.zeros(x.size)], axis=1))
+
+
+_coords = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                    st.floats(-41.0, 41.0),
+                    st.sampled_from(_EDGE_VALUES))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_coords, _coords), max_size=40))
+def test_binning_matches_histogram2d_property(xy):
+    _assert_matches_histogram2d([[x, y, 0.0] for x, y in xy])
 
 
 def test_uniform_disk_bin_counts_poisson():
@@ -139,6 +182,19 @@ def test_mmd_identical_multisets_zero():
     hs = _random_hists(rng, 5)
     val, _ = metrics.mmd(hs, list(hs))
     assert abs(val) <= 1e-12
+
+
+def test_mmd_of_a_set_against_itself_is_never_negative():
+    # kaa and kab come from different BLAS routines, so the raw estimate
+    # of an identical pair of sets can round below zero.
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        hs = []
+        for _ in range(rng.integers(2, 13)):
+            c = rng.random((metrics.BEV_BINS, metrics.BEV_BINS))
+            hs.append(metrics.OccupancyHistogram(c / c.sum(), empty=False))
+        val, _ = metrics.mmd(hs, list(hs))
+        assert 0.0 <= val <= 1e-12, seed
 
 
 def test_mmd_singletons_closed_form():
