@@ -3,10 +3,23 @@
 A recorded-tape design: every operation returns a new Tensor holding the
 result plus closures that push gradients to its parents. Tensors are
 immutable after creation; ``backward()`` from a scalar loss populates
-``.grad`` on every reachable tensor flagged ``requires_grad``.
+``.grad`` on every reachable leaf (a tensor with no closure, such as a
+parameter) flagged ``requires_grad``. An op's output keeps its gradient
+only until its closure has pushed it to the parents; then ``backward()``
+sets it back to None, so a step's intermediate gradients do not pile up.
 
 Tests run everything in float64; training uses float32 for speed and so
 checkpoints round-trip bit-exactly.
+
+Tape lifetime. An op records a tape node (its parents and backward
+closure) only when one of its operands has ``requires_grad``; otherwise
+its result is a plain Tensor with no parents and no closure. A tape
+lives from its forward pass until its training step ends: the training
+loop drops the loss after the optimizer step, checkpointing and logging,
+so the next forward pass never builds its graph beside the last one. The
+sampler needs no gradients, so it wraps each parameter's array in a plain
+``Tensor(p.data)`` (a view, without ``requires_grad``) and its forward
+passes record nothing. There is no global switch for this.
 
 Gradient ownership and layout. ``_accum`` stores a tensor's first
 gradient as is, without a copy, when it is C-contiguous and already has
@@ -107,6 +120,7 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None  # pushed to the parents; free it now
 
 
 def _toposort(root):

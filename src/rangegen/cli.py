@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+import time
 import traceback
 
 import numpy as np
@@ -357,10 +358,15 @@ def cmd_sample(args):
     for i in range(args.count):
         rng = np.random.default_rng(
             np.random.SeedSequence([cfg.seed, dom_idx, i]))
+        start = time.perf_counter()
         batch = diffusion.ddpm_sample(
             params, dconf, schedule, emb[None].astype(np.float32),
             np.array([dom_idx]), rng, steps=cfg.sampler_steps,
             shape=(sensor.height, sensor.width))
+        seconds = time.perf_counter() - start
+        print(f"scan {i + 1}/{args.count}: {cfg.sampler_steps} steps in "
+              f"{seconds:.2f} s ({cfg.sampler_steps / seconds:.2f} steps/s)",
+              flush=True)
         img = geometry.denormalize(batch[0], sensor)
         stem = f"{args.domain}_s{cfg.seed}_{i:04d}"
         geometry.write_olri(os.path.join(out_dir, stem + ".olri"), img)

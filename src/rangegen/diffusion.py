@@ -91,6 +91,10 @@ def ddpm_sample(params, config, schedule, zc, domain_idx, rng, steps=256,
     tau = sample_timesteps(schedule.T, steps)
     ab = schedule.alpha_bar
     x = rng.standard_normal((batch, config.in_channels, H, W))
+    # Plain views of the parameters and the prompt tokens: no operand of the
+    # forward pass has requires_grad, so no op records a tape.
+    params = {name: ad.Tensor(p.data) for name, p in params.items()}
+    zc = ad.Tensor(np.asarray(zc, dtype=x.dtype))
     for i in range(len(tau) - 1, 0, -1):
         t, tprev = tau[i], tau[i - 1]
         t_batch = np.full(batch, t)

@@ -204,6 +204,9 @@ def train(params, config, schedule, data_dir, index, specs, steps, seed,
                 save_training_checkpoint(
                     os.path.join(out_dir, f"ckpt_{step + 1:07d}.olck"),
                     params, opt, step + 1, seed)
+            # Drop this step's tape before the next forward pass builds one,
+            # so two graphs never share the memory peak.
+            del loss
     finally:
         if trace_f:
             trace_f.close()

@@ -400,6 +400,15 @@ def test_conv2d_channel_mismatch_rejected():
                   ad.Tensor(np.zeros((1, 3, 3, 3))))
 
 
+def test_backward_keeps_leaf_gradients_and_frees_the_others():
+    x = ad.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    h = ad.mul(x, x)
+    loss = ad.tsum(ad.add(h, x))
+    loss.backward()
+    np.testing.assert_array_equal(x.grad, [3.0, 5.0])
+    assert h.grad is None and loss.grad is None
+
+
 def test_backward_requires_scalar():
     t = ad.Tensor(np.zeros(3), requires_grad=True)
     with pytest.raises(ShapeError):

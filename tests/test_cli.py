@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 import shutil
 import struct
 
@@ -284,6 +285,22 @@ def test_sample_default_steps_from_config(trained, capsys):
                      "--domain", "ToyFar", "--count", "1",
                      "--out", str(tmp_path / "sd")]) == 0
     assert "steps=64" in capsys.readouterr().out  # toy preset sampler_steps
+
+
+def test_sample_prints_one_progress_line_per_scan(trained, capsys):
+    tmp_path, cfg = trained
+    ckpt = str(tmp_path / "run" / "ckpt_final.olck")
+    assert cli.main(["sample", "--config", cfg, "--checkpoint", ckpt,
+                     "--domain", "ToyNear", "--count", "3", "--steps", "4",
+                     "--out", str(tmp_path / "sp")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 and lines[-1].startswith("wrote 3 samples")
+    for i, line in enumerate(lines[:3], start=1):
+        m = re.fullmatch(r"scan (\d+)/3: 4 steps in (\S+) s "
+                         r"\((\S+) steps/s\)", line)
+        assert m, line
+        seconds, rate = float(m[2]), float(m[3])
+        assert int(m[1]) == i and seconds >= 0 and rate > 0
 
 
 def test_sample_takes_model_sensor_and_schedule_from_checkpoint(trained,

@@ -1,5 +1,7 @@
 """Noise schedule, forward noising, loss, and sampler tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from rangegen import autodiff as ad
 from rangegen import denoiser as dn
 from rangegen import diffusion as df
 from rangegen.errors import ConfigError, TrainingError
+from rangegen.toy import toy_denoiser_config
 
 
 # ---------------------------------------------------------------------------
@@ -242,3 +245,86 @@ def test_sampler_uses_conditioning():
     b = df.ddpm_sample(params, cfg, sched, zc_b, np.zeros(1, np.int64),
                        rng_b, steps=8, shape=(8, 16))
     assert np.abs(a - b).max() > 0
+
+
+def _recording_reference_sample(params, cfg, sched, zc, domain_idx, rng,
+                                steps, shape):
+    # The sampler loop with the parameters as given, so every denoiser call
+    # records its tape.
+    tau = df.sample_timesteps(sched.T, steps)
+    ab = sched.alpha_bar
+    x = rng.standard_normal((len(domain_idx), cfg.in_channels) + shape)
+    for i in range(len(tau) - 1, 0, -1):
+        t, tprev = tau[i], tau[i - 1]
+        eps_hat = dn.denoise(params, cfg, x, np.full(len(x), t), zc,
+                             domain_idx, t_max=sched.T).data
+        alpha = ab[t] / ab[tprev]
+        beta = 1.0 - alpha
+        mean = (x - beta / np.sqrt(1.0 - ab[t]) * eps_hat) / np.sqrt(alpha)
+        if tprev > 0:
+            var = (1.0 - ab[tprev]) / (1.0 - ab[t]) * beta
+            x = mean + np.sqrt(var) * rng.standard_normal(x.shape)
+        else:
+            x = mean
+    return np.clip(x, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sampler_matches_recording_reference_loop(dtype):
+    cfg = dn.TINY_CONFIG
+    params = dn.init_denoiser(cfg, np.random.default_rng(12), dtype=dtype)
+    sched = df.cosine_schedule(16)
+    zc = np.random.default_rng(13).standard_normal(
+        (2, cfg.token_count, cfg.cond_dim)).astype(dtype)
+    dom = np.array([0, 1])
+    out = df.ddpm_sample(params, cfg, sched, zc, dom,
+                         np.random.default_rng(14), steps=8, shape=(8, 16),
+                         batch=2)
+    ref = _recording_reference_sample(params, cfg, sched, zc, dom,
+                                      np.random.default_rng(14), 8, (8, 16))
+    assert np.array_equal(out, ref)
+
+
+def test_sampler_records_no_tape_and_sets_no_grad(monkeypatch):
+    cfg = dn.TINY_CONFIG
+    params = dn.init_denoiser(cfg, np.random.default_rng(15))
+    outputs = []
+    recording_denoise = dn.denoise
+
+    def denoise(*args, **kwargs):
+        outputs.append(recording_denoise(*args, **kwargs))
+        return outputs[-1]
+
+    monkeypatch.setattr(dn, "denoise", denoise)
+    _sample(cfg, params, df.cosine_schedule(16), steps=4, seed=0)
+    assert len(outputs) == 4
+    for out in outputs:
+        assert not out.requires_grad and out._parents == ()
+    for p in params.values():
+        assert p.requires_grad and p.grad is None
+
+
+def test_sampler_traced_peak_below_one_recording_forward():
+    # tracemalloc counts numpy buffers. A whole 4-step sampling run must
+    # peak well below one denoiser call that records its tape.
+    cfg = toy_denoiser_config()
+    params = dn.init_denoiser(cfg, np.random.default_rng(16),
+                              dtype=np.float32)
+    zc = np.zeros((1, cfg.token_count, cfg.cond_dim), dtype=np.float32)
+    dom = np.zeros(1, np.int64)
+    x = np.random.default_rng(17).standard_normal((1, 2, 16, 64))
+
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    recording = traced_peak(lambda: dn.denoise(params, cfg, x, np.array([3]),
+                                               zc, dom, t_max=8))
+    sampling = traced_peak(lambda: df.ddpm_sample(
+        params, cfg, df.cosine_schedule(8), zc, dom,
+        np.random.default_rng(18), steps=4, shape=(16, 64)))
+    assert sampling <= 0.7 * recording

@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,6 +166,25 @@ def test_train_resume_bit_identical(tmp_path):
     assert resumed_trace == tail_full
     for name in params:
         np.testing.assert_array_equal(params2[name].data, params[name].data)
+
+
+def test_train_keeps_one_tape_at_a_time(tmp_path):
+    # tracemalloc counts numpy buffers. If a step's tape outlived the step,
+    # the next forward pass would build its graph beside it and a 3-step
+    # run would peak at about 1.6 times a 1-step run.
+    cfg, params, sched, data_dir, index, specs = _toy_pipeline(tmp_path, 2)
+
+    def traced_peak(steps):
+        tracemalloc.start()
+        try:
+            training.train(params, cfg, sched, data_dir, index, specs,
+                           steps=steps, seed=0, batch_size=2, lr=1e-3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = traced_peak(1)
+    assert traced_peak(3) <= 1.15 * one
 
 
 def test_clip_grads_scales_a_shared_gradient_once_per_parameter():
