@@ -37,20 +37,39 @@ changes the last bit of later sums.
 
 Convolution is lowered to matrix products (im2col, Chellapilla et al.
 2006). ``_pad_conv`` fills one new buffer with the input, ph zero rows
-above and below and pw wrapped azimuth columns on each side. The padded
-input ``xp`` of shape (B, C, Hp, Wp) is unfolded into columns of shape
+above and below and pw wrapped azimuth columns on each side (a 1x1
+kernel pads nothing and uses the input as is). The padded input ``xp``
+of shape (B, C, Hp, Wp) is unfolded into columns of shape
 (B, C*kh*kw, Hs*Ws), channel-major: row ``(c, i, j)`` holds
 ``xp[:, c, i + stride*h, j + stride*w]`` for every output pixel
-``(h, w)``. ``_im2col`` builds them as one strided
-(B, C, kh, kw, Hs, Ws) view of ``xp`` and one reshape copy. The forward
-pass is then one batched matmul with the
-(O, C*kh*kw) kernel matrix, and its (B, O, Hs*Ws) result is already
-contiguous BCHW. Backward takes the weight gradient as ``g @ cols^T`` and
-the input gradient as ``w^T @ g`` folded back onto ``xp`` (col2im). The
-columns are kh*kw times the size of the input, so the tape keeps only
-``xp`` and backward rebuilds them: holding them for every convolution of
-a training step costs more memory than the copy costs time.
+``(h, w)``. ``_im2col`` copies them from one strided
+(B, C, kh, kw, Hs, Ws) view of ``xp``. The forward pass is then one
+batched matmul with the (O, C*kh*kw) kernel matrix, and its
+(B, O, Hs*Ws) result is already contiguous BCHW. Backward takes the
+weight gradient as ``(cols @ g^T)^T`` and the input gradient as
+``w^T @ g`` folded back onto ``xp`` (col2im). The columns are kh*kw
+times the size of the input, so the tape keeps only ``xp`` and backward
+rebuilds them: holding them for every convolution of a training step
+costs more memory than the copy costs time.
+
+Column gradient at the padded row pitch. Backward pads ``g`` with zero
+columns to width Wp before ``w^T @ g``, so column ``m = h*Wp + w`` of
+tap (i, j) lands on flat index ``i*Wp + j + stride*m`` of the flattened
+padded input: each tap of col2im is one run with step ``stride``, for
+every stride and kernel size. The GEMM's reduction (over O) is
+unchanged, and the padding columns add exact +-0.0 to accumulators that
+start at +0.0, so the result is bit-identical to a per-pixel col2im.
+
+Workspace ownership. The columns (forward and backward) and the column
+gradient are written into one module-level workspace, ``_workspace``,
+which grows to the largest request and is reused by every call, so the
+large per-call buffers cost no fresh pages. Only ``conv2d`` and its
+backward closure touch it, and only between entry and return: nothing
+else may hold a view of it, and no output or stored gradient aliases it.
+It is not thread-safe, and nothing here runs convolutions concurrently.
 """
+
+import math
 
 import numpy as np
 
@@ -425,9 +444,17 @@ def layer_norm(x, gain, bias, eps=1e-5, axis=-1):
         if bias.requires_grad:
             _accum(bias, gy.sum(axis=others).reshape(bias.data.shape))
         if x.requires_grad:
+            # The closed form in two buffers: t = d * xhat takes the layout
+            # that inv * (d - mean(d) - xhat * mean(t)) would have, and
+            # every step rounds as that expression does.
             d = gy * g
-            _accum(x, inv * (d - d.mean(axis=axis, keepdims=True)
-                             - xhat * (d * xhat).mean(axis=axis, keepdims=True)))
+            t = d * xhat
+            tm = t.mean(axis=axis, keepdims=True)
+            d -= d.mean(axis=axis, keepdims=True)
+            np.multiply(xhat, tm, out=t)
+            np.subtract(d, t, out=t)
+            t *= inv
+            _accum(x, t)
 
     return _make(data, (x, gain, bias), bwd)
 
@@ -439,7 +466,10 @@ def layer_norm(x, gain, bias, eps=1e-5, axis=-1):
 
 def _pad_conv(x, ph, pw):
     """x padded by ph zero rows and pw wrapped azimuth columns on each side,
-    filled into one new C-ordered buffer (needs pw <= W)."""
+    filled into one new C-ordered buffer (needs pw <= W). With nothing to
+    pad, x itself, or a C-ordered copy if it is not C-contiguous."""
+    if not ph and not pw:
+        return np.ascontiguousarray(x)
     B, C, H, W = x.shape
     xp = np.empty((B, C, H + 2 * ph, W + 2 * pw), dtype=x.dtype)
     xp[:, :, :ph] = 0
@@ -452,16 +482,37 @@ def _pad_conv(x, ph, pw):
     return xp
 
 
+# conv2d's scratch memory for its columns and column gradients; see the
+# module docstring's ownership rule.
+_workspace = np.empty(0, dtype=np.uint8)
+
+
+def _scratch(shape, dtype):
+    """A C-ordered array of `shape` over the start of the shared workspace,
+    valid until the next call. The workspace grows to the largest request."""
+    global _workspace
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    if _workspace.nbytes < nbytes:
+        _workspace = None  # free the smaller buffer before taking the larger
+        _workspace = np.empty(nbytes, dtype=np.uint8)
+    return np.ndarray(shape, dtype, _workspace)
+
+
 def _im2col(xp, kh, kw, stride):
-    """Columns (B, C*kh*kw, Hs*Ws) of the padded input, channel-major: one
-    strided (B, C, kh, kw, Hs, Ws) window view of `xp` and one copy."""
+    """Columns (B, C*kh*kw, Hs*Ws) of the padded input, channel-major,
+    copied from one strided (B, C, kh, kw, Hs, Ws) window view of `xp`
+    into the workspace. A 1x1 stride-1 kernel's columns are `xp` itself."""
     B, C, Hp, Wp = xp.shape
+    if kh == kw == stride == 1:
+        return xp.reshape(B, C, Hp * Wp)
     Hs, Ws = (Hp - kh) // stride + 1, (Wp - kw) // stride + 1
     sB, sC, sH, sW = xp.strides
-    win = np.lib.stride_tricks.as_strided(
-        xp, (B, C, kh, kw, Hs, Ws),
-        (sB, sC, sH, sW, stride * sH, stride * sW), writeable=False)
-    return win.reshape(B, C * kh * kw, Hs * Ws)
+    shape = (B, C, kh, kw, Hs, Ws)
+    win = np.ndarray(shape, xp.dtype, xp, 0,
+                     (sB, sC, sH, sW, stride * sH, stride * sW))
+    cols = _scratch(shape, xp.dtype)
+    np.copyto(cols, win)
+    return cols.reshape(B, C * kh * kw, Hs * Ws)
 
 
 def conv2d(x, w, b=None, stride=1):
@@ -481,6 +532,7 @@ def conv2d(x, w, b=None, stride=1):
         raise ShapeError(f"conv2d: kernel {w.shape} is wider than 2*{W}+1")
     Hs, Ws = (H - 1) // stride + 1, (W - 1) // stride + 1
     xp = _pad_conv(x.data, ph, pw)
+    Hp, Wp = xp.shape[2:]
     w2 = w.data.reshape(O, C * kh * kw)
     data = np.matmul(w2, _im2col(xp, kh, kw, stride))
     data = data.reshape(B, O, Hs, Ws)
@@ -501,14 +553,23 @@ def conv2d(x, w, b=None, stride=1):
         if b is not None and b.requires_grad:
             _accum(b, g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            dcols = np.matmul(w2.T, g2).reshape(B, C, kh, kw, Hs, Ws)
-            dxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, :, i : i + stride * Hs : stride,
-                        j : j + stride * Ws : stride] += dcols[:, :, i, j]
+            # Column gradient at the padded row pitch Wp, so that tap (i, j)
+            # of col2im is one run with step `stride` through the flattened
+            # padded input, starting at i*Wp + j.
+            n = Hs * Wp
+            gp = np.empty((B, O, Hs, Wp), dtype=g.dtype)
+            gp[..., Ws:] = 0
+            gp[..., :Ws] = g
+            dcols = _scratch((B, C * kh * kw, n), np.result_type(w2, gp))
+            np.matmul(w2.T, gp.reshape(B, O, n), out=dcols)
+            dcols = dcols.reshape(B, C, kh * kw, n)
+            dxp = np.zeros((B, C, Hp * Wp), dtype=xp.dtype)
+            for t in range(kh * kw):
+                i, j = divmod(t, kw)
+                run = dxp[:, :, i * Wp + j :: stride][:, :, :n]
+                run += dcols[:, :, t, : run.shape[2]]
             del dcols
-            dx = dxp[:, :, ph : ph + H, :] if ph else dxp
+            dx = dxp.reshape(B, C, Hp, Wp)[:, :, ph : ph + H]
             if pw:
                 core = dx[:, :, :, pw : pw + W].copy()
                 core[:, :, :, : pw] += dx[:, :, :, W + pw :]
@@ -530,7 +591,14 @@ def upsample2x(x):
         B, C, 2 * H, 2 * W)
 
     def bwd(g):
-        _accum(x, g.reshape(B, C, H, 2, W, 2).sum(axis=(3, 5)))
+        # The four 2x2 phases summed by strided adds, associated as numpy's
+        # reshape(B, C, H, 2, W, 2).sum(axis=(3, 5)) does for a C-ordered g:
+        # ((g00 + 0.0) + g01) + (g10 + g11), the + 0.0 turning -0.0 into +0.0.
+        dx = np.empty((B, C, H, W), dtype=g.dtype)
+        np.add(g[:, :, 0::2, 0::2], 0.0, out=dx)
+        dx += g[:, :, 0::2, 1::2]
+        dx += g[:, :, 1::2, 0::2] + g[:, :, 1::2, 1::2]
+        _accum(x, dx)
 
     return _make(data, (x,), bwd)
 

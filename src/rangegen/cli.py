@@ -407,8 +407,16 @@ def cmd_eval(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as one ConfigError line (exit 1),
+    not as argparse's usage block and exit 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="rangegen",
         description="Multi-domain LiDAR range-image diffusion pipeline")
     sub = p.add_subparsers(dest="command", required=True)
@@ -448,8 +456,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ConfigError, MetricError, TrainingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -91,3 +91,97 @@ def bev_histogram_reference(points):
     if total == 0:
         return counts, True
     return counts / total, False
+
+
+# ---------------------------------------------------------------------------
+# Reference convolution and upsampling: fresh im2col columns, a kh x kw
+# strided col2im loop and a reshape-sum upsampling backward. The shipped
+# kernels must match these bit for bit.
+# ---------------------------------------------------------------------------
+
+def _pad_conv_reference(x, ph, pw):
+    B, C, H, W = x.shape
+    xp = np.empty((B, C, H + 2 * ph, W + 2 * pw), dtype=x.dtype)
+    xp[:, :, :ph] = 0
+    xp[:, :, ph + H:] = 0
+    rows = xp[:, :, ph : ph + H]
+    rows[..., pw : pw + W] = x
+    if pw:
+        rows[..., :pw] = x[..., W - pw:]
+        rows[..., pw + W:] = x[..., :pw]
+    return xp
+
+
+def _im2col_reference(xp, kh, kw, stride):
+    B, C, Hp, Wp = xp.shape
+    Hs, Ws = (Hp - kh) // stride + 1, (Wp - kw) // stride + 1
+    sB, sC, sH, sW = xp.strides
+    win = np.lib.stride_tricks.as_strided(
+        xp, (B, C, kh, kw, Hs, Ws),
+        (sB, sC, sH, sW, stride * sH, stride * sW), writeable=False)
+    return win.reshape(B, C * kh * kw, Hs * Ws)
+
+
+def conv2d_reference(x, w, b=None, stride=1):
+    """Drop-in for `ad.conv2d`: the same arithmetic by the plain lowering."""
+    x, w = ad._wrap(x), ad._wrap(w)
+    O, _, kh, kw = w.data.shape
+    ph, pw = kh // 2, kw // 2
+    B, C, H, W = x.data.shape
+    Hs, Ws = (H - 1) // stride + 1, (W - 1) // stride + 1
+    xp = _pad_conv_reference(x.data, ph, pw)
+    w2 = w.data.reshape(O, C * kh * kw)
+    data = np.matmul(w2, _im2col_reference(xp, kh, kw, stride))
+    data = data.reshape(B, O, Hs, Ws)
+    parents = [x, w]
+    if b is not None:
+        b = ad._wrap(b)
+        data += b.data[:, None, None]
+        parents.append(b)
+
+    def bwd(g):
+        g2 = g.reshape(B, O, Hs * Ws)
+        if w.requires_grad:
+            cols = _im2col_reference(xp, kh, kw, stride)
+            gw = np.matmul(cols, g2.transpose(0, 2, 1)).sum(axis=0)
+            ad._accum(w, gw.T.reshape(w.data.shape))
+        if b is not None and b.requires_grad:
+            ad._accum(b, g.sum(axis=(0, 2, 3)))
+        if x.requires_grad:
+            dcols = np.matmul(w2.T, g2).reshape(B, C, kh, kw, Hs, Ws)
+            dxp = np.zeros_like(xp)
+            for i in range(kh):
+                for j in range(kw):
+                    dxp[:, :, i : i + stride * Hs : stride,
+                        j : j + stride * Ws : stride] += dcols[:, :, i, j]
+            dx = dxp[:, :, ph : ph + H, :] if ph else dxp
+            if pw:
+                core = dx[:, :, :, pw : pw + W].copy()
+                core[:, :, :, : pw] += dx[:, :, :, W + pw :]
+                core[:, :, :, W - pw :] += dx[:, :, :, :pw]
+                dx = core
+            ad._accum(x, dx)
+
+    return ad._make(data, parents, bwd)
+
+
+def upsample2x_backward_reference(g):
+    B, C, H2, W2 = g.shape
+    return g.reshape(B, C, H2 // 2, 2, W2 // 2, 2).sum(axis=(3, 5))
+
+
+def upsample2x_reference(x):
+    """Drop-in for `ad.upsample2x` with the reshape-sum backward."""
+    x = ad._wrap(x)
+    data = x.data.repeat(2, axis=2).repeat(2, axis=3)
+
+    def bwd(g):
+        ad._accum(x, upsample2x_backward_reference(g))
+
+    return ad._make(data, (x,), bwd)
+
+
+def bits(a):
+    """The raw bits of a float array, so that -0.0 and +0.0 differ."""
+    a = np.ascontiguousarray(a)
+    return a.view(f"i{a.itemsize}")

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from conftest import check_grads, rel_err
+from conftest import (bits, check_grads, conv2d_reference, rel_err,
+                      upsample2x_backward_reference)
 
 from rangegen import autodiff as ad
 from rangegen import backend
@@ -267,6 +268,131 @@ def test_pad_conv_and_im2col_match_np_pad_reference(ph, pw, stride):
     cols = ad._im2col(xp, kh, kw, stride)
     assert cols.flags.c_contiguous
     np.testing.assert_array_equal(cols, ref_cols)
+
+
+def _signed(rng, shape, dtype):
+    """Normal values of which about a quarter are +0.0 and a quarter -0.0."""
+    a = rng.standard_normal(shape)
+    u = rng.random(shape)
+    a[u < 0.5] = 0.0
+    a[u < 0.25] = -0.0
+    return a.astype(dtype)
+
+
+def _layout(a, how):
+    """`a` in memory order `how`: C, F (all axes reversed), channels last
+    (as after a transpose), or a channel slice of a larger C-ordered array
+    (as concat's backward hands out)."""
+    if how == "F":
+        return np.asfortranarray(a)
+    if how == "transposed":
+        return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    if how == "channel_slice":
+        return np.concatenate([a, a], axis=1)[:, a.shape[1]:]
+    return a
+
+
+def _conv_run(op, x, w, b, stride, g):
+    """Output and x, w, b gradients of one conv op node fed upstream `g`."""
+    ts = [ad.Tensor(a, requires_grad=True) for a in (x, w, b)]
+    out = op(*ts, stride=stride)
+    out._backward(g)
+    return [out.data] + [t.grad for t in ts]
+
+
+def _conv_case(seed, k, stride, W, dtype, layout="C"):
+    rng = np.random.default_rng(seed)
+    x = _signed(rng, (2, 3, 5, W), dtype)
+    w = _signed(rng, (4, 3, k, k), dtype)
+    b = _signed(rng, (4,), dtype)
+    g = _signed(rng, (2, 4, len(range(0, 5, stride)), len(range(0, W, stride))),
+                dtype)
+    g[:, :, 0] = -0.0  # rows and a channel whose every term is a signed zero
+    g[:, 1] = -0.0
+    return x, w, b, _layout(g, layout)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "transposed"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("W", [7, 8, 64])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv2d_matches_reference_lowering_bitwise(stride, k, W, dtype, layout):
+    x, w, b, g = _conv_case(W + 10 * k + stride, k, stride, W, dtype, layout)
+    got = _conv_run(ad.conv2d, x, w, b, stride, g)
+    ref = _conv_run(conv2d_reference, x, w, b, stride, g)
+    for a, r in zip(got, ref):
+        assert a.dtype == r.dtype and a.shape == r.shape
+        assert np.array_equal(bits(a), bits(r))
+
+
+@pytest.mark.parametrize("first_bigger", [False, True])
+def test_conv2d_workspace_reuse_keeps_gradients(monkeypatch, first_bigger):
+    # Conv A's backward runs after conv B has used (and maybe grown) the
+    # workspace; A keeps no view of it, so its gradients are unchanged.
+    monkeypatch.setattr(ad, "_workspace", np.empty(0, dtype=np.uint8))
+    small = _conv_case(1, 3, 1, 8, np.float32)
+    big = _conv_case(2, 3, 2, 64, np.float32)
+    case_a, case_b = (big, small) if first_bigger else (small, big)
+    stride_a, stride_b = (2, 1) if first_bigger else (1, 2)
+    alone_a = _conv_run(ad.conv2d, *case_a[:3], stride_a, case_a[3])
+    alone_b = _conv_run(ad.conv2d, *case_b[:3], stride_b, case_b[3])
+
+    ta = [ad.Tensor(a, requires_grad=True) for a in case_a[:3]]
+    out_a = ad.conv2d(*ta, stride=stride_a)
+    tb = [ad.Tensor(a, requires_grad=True) for a in case_b[:3]]
+    out_b = ad.conv2d(*tb, stride=stride_b)
+    out_b._backward(case_b[3])
+    out_a._backward(case_a[3])
+    for out, ts, alone in ((out_a, ta, alone_a), (out_b, tb, alone_b)):
+        for a, r in zip([out.data] + [t.grad for t in ts], alone):
+            assert np.array_equal(bits(a), bits(r))
+            assert not np.shares_memory(a, ad._workspace)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layout", ["C", "channel_slice", "F", "transposed"])
+def test_upsample2x_backward_matches_reshape_sum_bitwise(dtype, layout):
+    # numpy's reshape-sum associates in g's memory order; the strided adds
+    # always take its C-order association and give a C-ordered gradient.
+    rng = np.random.default_rng(5)
+    g = _signed(rng, (2, 6, 8, 16), dtype)
+    g[:, :, :2] = -0.0  # whole 2x2 blocks of -0.0 sum to +0.0
+    ref = upsample2x_backward_reference(g)
+    x = ad.Tensor(np.zeros((2, 6, 4, 8), dtype), requires_grad=True)
+    ad.upsample2x(x)._backward(_layout(g, layout))
+    assert x.grad.dtype == dtype and x.grad.flags.c_contiguous
+    assert np.array_equal(bits(x.grad), bits(ref))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("axis", [1, -1])
+@pytest.mark.parametrize("x_layout", ["C", "transposed"])
+@pytest.mark.parametrize("g_layout", ["C", "F", "transposed", "channel_slice"])
+def test_layer_norm_input_gradient_matches_closed_form_bitwise(
+        dtype, axis, x_layout, g_layout):
+    # Bits and memory layout of the literal closed-form expression.
+    rng = np.random.default_rng(7)
+    shape = (2, 6, 5, 7)
+    x = _layout(rng.standard_normal(shape).astype(dtype), x_layout)
+    gy = _layout(_signed(rng, shape, dtype), g_layout)
+    n = shape[axis]
+    gain = rng.standard_normal(n).astype(dtype)
+    t = ad.Tensor(x, requires_grad=True)
+    ad.layer_norm(t, ad.Tensor(gain), ad.Tensor(np.zeros(n, dtype)),
+                  axis=axis)._backward(gy)
+    feat = [1] * 4
+    feat[axis] = n
+    xhat = x - x.mean(axis=axis, keepdims=True)
+    inv = (xhat * xhat).mean(axis=axis, keepdims=True)
+    inv += 1e-5
+    inv **= -0.5
+    xhat *= inv
+    d = gy * gain.reshape(feat)
+    ref = inv * (d - d.mean(axis=axis, keepdims=True)
+                 - xhat * (d * xhat).mean(axis=axis, keepdims=True))
+    assert t.grad.strides == ref.strides
+    assert np.array_equal(bits(t.grad), bits(ref))
 
 
 def _scan_reference(abar, q, g):

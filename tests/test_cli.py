@@ -353,6 +353,26 @@ def test_bad_command_flag_exits_1(trained, tmp_path, capsys, command, flags):
     assert not (tmp_path / "samples").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "--config", "run.cfg", "--checkpoint", "c.olck", "--domain",
+     "ToyNear", "--steps", "abc"],
+    ["train", "--config", "run.cfg", "--sampler", "bogus"],
+    ["train", "--config", "run.cfg", "--no-such-flag"],
+    []])
+def test_malformed_command_line_exits_1(capsys, argv):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: rangegen")
+    assert captured.err.count("\n") == 1 and not captured.out
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "build-data" in capsys.readouterr().out
+
+
 # Metadata values of the wrong type or range: how -> (the command that
 # reads the key, key, value).
 _BAD_META = {

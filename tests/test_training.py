@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import conv2d_reference, upsample2x_reference
 from rangegen import autodiff as ad
 from rangegen import diffusion, forge, toy, training
 from rangegen.checkpoint import read_checkpoint, write_checkpoint
@@ -185,6 +186,33 @@ def test_train_keeps_one_tape_at_a_time(tmp_path):
 
     one = traced_peak(1)
     assert traced_peak(3) <= 1.15 * one
+
+
+def test_train_bit_identical_with_reference_kernels(tmp_path, monkeypatch):
+    # A fast guard for kernel rewrites: five toy steps with the shipped
+    # convolution and upsampling must give the same loss bits and parameter
+    # bytes as the plain reference lowering in conftest.
+    def run(name):
+        cfg, params, sched, data_dir, index, specs = _toy_pipeline(
+            tmp_path / name, 2)
+        _, trace = training.train(params, cfg, sched, data_dir, index, specs,
+                                  steps=5, seed=0, batch_size=4, lr=1e-3)
+        return ([float.hex(v) for _, v in trace],
+                {n: p.data.tobytes() for n, p in params.items()})
+
+    shipped = run("shipped")
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ad, "conv2d", counted(conv2d_reference))
+    monkeypatch.setattr(ad, "upsample2x", counted(upsample2x_reference))
+    assert run("reference") == shipped
+    assert {"conv2d_reference", "upsample2x_reference"} <= set(calls)
 
 
 def test_clip_grads_scales_a_shared_gradient_once_per_parameter():
