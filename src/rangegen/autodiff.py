@@ -35,6 +35,15 @@ and an upstream ``g`` may be a transposed view, so building a result in a
 C-ordered buffer where the plain expression would follow ``g``'s layout
 changes the last bit of later sums.
 
+What a closure keeps. A backward closure holds its parents, whose data
+the tape keeps anyway, its own output, and beyond them only what it
+cannot cheaply rebuild from that data (Chen et al. 2016 trade memory for
+recomputation the same way): ``layer_norm`` keeps its per-position mean
+and inverse deviation (1/C of its input) and rebuilds ``xhat``, ``silu``
+recomputes its gate, and ``conv2d`` re-pads its input. A rebuilt value
+comes from the same expression on the same data, so it has the bits and
+layout the forward pass's value had, and no gradient changes.
+
 Convolution is lowered to matrix products (im2col, Chellapilla et al.
 2006). ``_pad_conv`` fills one new buffer with the input, ph zero rows
 above and below and pw wrapped azimuth columns on each side (a 1x1
@@ -44,13 +53,12 @@ of shape (B, C, Hp, Wp) is unfolded into columns of shape
 ``xp[:, c, i + stride*h, j + stride*w]`` for every output pixel
 ``(h, w)``. ``_im2col`` copies them from one strided
 (B, C, kh, kw, Hs, Ws) view of ``xp``. The forward pass is then one
-batched matmul with the (O, C*kh*kw) kernel matrix, and its
+matmul per batch item with the (O, C*kh*kw) kernel matrix, whose
 (B, O, Hs*Ws) result is already contiguous BCHW. Backward takes the
-weight gradient as ``(cols @ g^T)^T`` and the input gradient as
-``w^T @ g`` folded back onto ``xp`` (col2im). The columns are kh*kw
-times the size of the input, so the tape keeps only ``xp`` and backward
-rebuilds them: holding them for every convolution of a training step
-costs more memory than the copy costs time.
+weight gradient as ``(cols @ g^T)^T`` summed over the batch and the
+input gradient as ``w^T @ g`` folded back onto ``xp`` (col2im). The
+columns are kh*kw times the size of the input, so backward rebuilds them
+(and ``xp``) from the input rather than keeping them on the tape.
 
 Column gradient at the padded row pitch. Backward pads ``g`` with zero
 columns to width Wp before ``w^T @ g``, so column ``m = h*Wp + w`` of
@@ -60,9 +68,30 @@ every stride and kernel size. The GEMM's reduction (over O) is
 unchanged, and the padding columns add exact +-0.0 to accumulators that
 start at +0.0, so the result is bit-identical to a per-pixel col2im.
 
+Blocks. ``conv2d`` builds its columns and column gradients one block at
+a time, each within ``_BLOCK_BYTES`` (16 MiB), so its memory does not
+grow with B*H*W*C; a convolution that fits takes one block and runs as
+if unblocked. ``_blocks`` splits the batch first, and the units of one
+batch item (output rows forward, input channels backward) only when that
+item's share does not fit. Blocking keeps every summation order. A
+forward tile computes whole output pixels, each still a sum over all of
+C*kh*kw; a channel block computes whole rows of the weight gradient
+(each a sum over all pixels) and whole rows of the column gradient (each
+a sum over all of O); the batch sum of the weight gradient runs in item
+order across blocks; and col2im still adds each element's taps in the
+order t = 0 .. kh*kw-1, since a block holds all taps of its channels.
+What blocking changes is the shape of each GEMM, which BLAS must not
+round differently: OpenBLAS sends a one-row product to a matrix-vector
+kernel and, on some CPUs, a product of at most 10^6 multiply-adds to a
+small-matrix kernel, and both sum in another order than its general
+kernel. So unit runs are near-equal and at least two long, and a split
+inside one item leaves blocks of several MB, whose products stay far
+above that size; a split of the batch leaves each item's GEMM as it was.
+
 Workspace ownership. The columns (forward and backward) and the column
 gradient are written into one module-level workspace, ``_workspace``,
-which grows to the largest request and is reused by every call, so the
+which grows to the largest block, at most ``_BLOCK_BYTES`` whenever three
+units of a batch item fit in it, and is reused by every call, so the
 large per-call buffers cost no fresh pages. Only ``conv2d`` and its
 backward closure touch it, and only between entry and return: nothing
 else may hold a view of it, and no output or stored gradient aliases it.
@@ -278,10 +307,10 @@ def _sigmoid_np(x):
 
 def silu(a):
     a = _wrap(a)
-    s = _sigmoid_np(a.data)
-    data = a.data * s
+    data = a.data * _sigmoid_np(a.data)
 
     def bwd(g):
+        s = _sigmoid_np(a.data)  # recomputed: cheaper than keeping it
         _accum(a, g * (s + a.data * s * (1.0 - s)))
 
     return _make(data, (a,), bwd)
@@ -429,7 +458,8 @@ def layer_norm(x, gain, bias, eps=1e-5, axis=-1):
     feat = [1] * nd
     feat[axis] = x.data.shape[axis]
     g = gain.data.reshape(feat)
-    xhat = x.data - x.data.mean(axis=axis, keepdims=True)
+    mean = x.data.mean(axis=axis, keepdims=True)
+    xhat = x.data - mean
     inv = (xhat * xhat).mean(axis=axis, keepdims=True)
     inv += eps
     inv **= -0.5
@@ -439,6 +469,10 @@ def layer_norm(x, gain, bias, eps=1e-5, axis=-1):
     others = tuple(i for i in range(nd) if i != axis)
 
     def bwd(gy):
+        # xhat rebuilt from the small mean and inv by the forward's own
+        # expression, so it has the same bits and layout.
+        xhat = x.data - mean
+        xhat *= inv
         if gain.requires_grad:
             _accum(gain, (gy * xhat).sum(axis=others).reshape(gain.data.shape))
         if bias.requires_grad:
@@ -482,9 +516,11 @@ def _pad_conv(x, ph, pw):
     return xp
 
 
-# conv2d's scratch memory for its columns and column gradients; see the
-# module docstring's ownership rule.
+# conv2d's scratch memory for its columns and column gradients, and the
+# most of it that one block of a convolution may take; see the module
+# docstring's ownership and block rules.
 _workspace = np.empty(0, dtype=np.uint8)
+_BLOCK_BYTES = 16 << 20
 
 
 def _scratch(shape, dtype):
@@ -498,21 +534,43 @@ def _scratch(shape, dtype):
     return np.ndarray(shape, dtype, _workspace)
 
 
-def _im2col(xp, kh, kw, stride):
-    """Columns (B, C*kh*kw, Hs*Ws) of the padded input, channel-major,
-    copied from one strided (B, C, kh, kw, Hs, Ws) window view of `xp`
-    into the workspace. A 1x1 stride-1 kernel's columns are `xp` itself."""
+def _blocks(B, n, unit_bytes):
+    """(batch slice, unit slice) blocks covering B batch items of n units of
+    `unit_bytes` each, every block within _BLOCK_BYTES whenever three units
+    fit. The batch is split first, since each item has its own GEMM anyway;
+    the units only when one item's share does not fit, into near-equal runs
+    of at least two units (see the module docstring)."""
+    item = n * unit_bytes
+    if item <= _BLOCK_BYTES:
+        nb, k = max(1, _BLOCK_BYTES // max(item, 1)), 1
+    else:
+        nb, k = 1, -(-n // max(3, _BLOCK_BYTES // unit_bytes))
+    for b0 in range(0, B, nb):
+        for i in range(k):
+            yield slice(b0, b0 + nb), slice(i * n // k, (i + 1) * n // k)
+
+
+_ALL = slice(None)
+
+
+def _im2col(xp, kh, kw, stride, bs=_ALL, cs=_ALL, hs=_ALL):
+    """Columns (b, c*kh*kw, h*Ws) of the padded input for batch items `bs`,
+    channels `cs` and output rows `hs`, channel-major, copied from one
+    strided (B, C, kh, kw, Hs, Ws) window view of `xp` into the workspace.
+    A 1x1 stride-1 kernel's columns are a view of `xp` itself."""
     B, C, Hp, Wp = xp.shape
     if kh == kw == stride == 1:
-        return xp.reshape(B, C, Hp * Wp)
+        part = xp[bs, cs, hs]
+        return part.reshape(*part.shape[:2], -1)
     Hs, Ws = (Hp - kh) // stride + 1, (Wp - kw) // stride + 1
     sB, sC, sH, sW = xp.strides
-    shape = (B, C, kh, kw, Hs, Ws)
-    win = np.ndarray(shape, xp.dtype, xp, 0,
+    win = np.ndarray((B, C, kh, kw, Hs, Ws), xp.dtype, xp, 0,
                      (sB, sC, sH, sW, stride * sH, stride * sW))
-    cols = _scratch(shape, xp.dtype)
+    win = win[bs, cs, :, :, hs]
+    cols = _scratch(win.shape, xp.dtype)
     np.copyto(cols, win)
-    return cols.reshape(B, C * kh * kw, Hs * Ws)
+    b, c, _, _, h, _ = win.shape
+    return cols.reshape(b, c * kh * kw, h * Ws)
 
 
 def conv2d(x, w, b=None, stride=1):
@@ -531,10 +589,19 @@ def conv2d(x, w, b=None, stride=1):
     if pw > W:
         raise ShapeError(f"conv2d: kernel {w.shape} is wider than 2*{W}+1")
     Hs, Ws = (H - 1) // stride + 1, (W - 1) // stride + 1
+    kk = kh * kw
     xp = _pad_conv(x.data, ph, pw)
     Hp, Wp = xp.shape[2:]
-    w2 = w.data.reshape(O, C * kh * kw)
-    data = np.matmul(w2, _im2col(xp, kh, kw, stride))
+    w2 = w.data.reshape(O, C * kk)
+    dtype = np.result_type(w2, xp)
+    # Forward in blocks of batch items and output rows: each block's columns,
+    # then its GEMM into its slice of the output. A 1x1 stride-1 kernel's
+    # columns are its input, so it takes one block.
+    data = np.empty((B, O, Hs * Ws), dtype)
+    row_bytes = 0 if kh == kw == stride == 1 else C * kk * Ws * dtype.itemsize
+    for bs, hs in _blocks(B, Hs, row_bytes):
+        np.matmul(w2, _im2col(xp, kh, kw, stride, bs, _ALL, hs),
+                  out=data[bs, :, hs.start * Ws : hs.stop * Ws])
     data = data.reshape(B, O, Hs, Ws)
     parents = [x, w]
     if b is not None:
@@ -543,32 +610,53 @@ def conv2d(x, w, b=None, stride=1):
         parents.append(b)
 
     def bwd(g):
+        xp = _pad_conv(x.data, ph, pw)  # re-padded: cheaper than keeping it
         g2 = g.reshape(B, O, Hs * Ws)
+        # Column gradient at the padded row pitch Wp, so that tap (i, j) of
+        # col2im is one run with step `stride` through the flattened padded
+        # input, starting at i*Wp + j.
+        n = Hs * Wp
         if w.requires_grad:
-            cols = _im2col(xp, kh, kw, stride)
-            # (cols @ g^T)^T: faster with OpenBLAS than g @ cols^T.
-            gw = np.matmul(cols, g2.transpose(0, 2, 1)).sum(axis=0)
-            del cols
+            gw = np.empty((C * kk, O), np.result_type(xp, g2))
+        if x.requires_grad:
+            gp = np.empty((B, O, Hs, Wp), dtype=g.dtype)
+            gp[..., Ws:] = 0
+            gp[..., :Ws] = g
+            gp = gp.reshape(B, O, n)
+            dxp = np.zeros((B, C, Hp * Wp), dtype=xp.dtype)
+        # Blocks of batch items, and of input channels when one item's
+        # columns do not fit: each gives its rows of the weight gradient and
+        # of the column gradient.
+        for bs, cs in _blocks(B, C, kk * n * dtype.itemsize):
+            rows = slice(cs.start * kk, cs.stop * kk)
+            if w.requires_grad:
+                # (cols @ g^T)^T: faster with OpenBLAS than g @ cols^T. The
+                # sum over the batch runs in item order across batch blocks.
+                part = np.matmul(_im2col(xp, kh, kw, stride, bs, cs),
+                                 g2[bs].transpose(0, 2, 1))
+                if bs.start == 0:
+                    np.sum(part, axis=0, out=gw[rows])
+                else:
+                    for p in part:
+                        gw[rows] += p
+                del part
+            if x.requires_grad:
+                wt, gb = w2.T[rows], gp[bs]
+                dcols = _scratch((gb.shape[0], wt.shape[0], n),
+                                 np.result_type(wt, gb))
+                np.matmul(wt, gb, out=dcols)
+                dcols = dcols.reshape(dcols.shape[0], -1, kk, n)
+                blk = dxp[bs, cs]
+                for t in range(kk):
+                    i, j = divmod(t, kw)
+                    run = blk[:, :, i * Wp + j :: stride][:, :, :n]
+                    run += dcols[:, :, t, : run.shape[2]]
+                del dcols
+        if w.requires_grad:
             _accum(w, gw.T.reshape(w.data.shape))
         if b is not None and b.requires_grad:
             _accum(b, g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            # Column gradient at the padded row pitch Wp, so that tap (i, j)
-            # of col2im is one run with step `stride` through the flattened
-            # padded input, starting at i*Wp + j.
-            n = Hs * Wp
-            gp = np.empty((B, O, Hs, Wp), dtype=g.dtype)
-            gp[..., Ws:] = 0
-            gp[..., :Ws] = g
-            dcols = _scratch((B, C * kh * kw, n), np.result_type(w2, gp))
-            np.matmul(w2.T, gp.reshape(B, O, n), out=dcols)
-            dcols = dcols.reshape(B, C, kh * kw, n)
-            dxp = np.zeros((B, C, Hp * Wp), dtype=xp.dtype)
-            for t in range(kh * kw):
-                i, j = divmod(t, kw)
-                run = dxp[:, :, i * Wp + j :: stride][:, :, :n]
-                run += dcols[:, :, t, : run.shape[2]]
-            del dcols
             dx = dxp.reshape(B, C, Hp, Wp)[:, :, ph : ph + H]
             if pw:
                 core = dx[:, :, :, pw : pw + W].copy()

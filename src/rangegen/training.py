@@ -142,6 +142,32 @@ def load_training_checkpoint(path, params, opt):
     return meta
 
 
+_TRACE_HEADER = "step,loss\n"
+
+
+def _trim_trace(path, step):
+    """Rewrite the loss trace at `path` to its header and its complete rows
+    below `step`, so that a run resumed at `step` appends each later step
+    once. The rows go to a temporary file that is renamed onto `path`, so
+    a crash leaves either the old trace or the new one."""
+    with open(path, newline="") as f:
+        rows = f.readlines()
+    kept = [_TRACE_HEADER]
+    for row in rows[1:]:
+        head = row.split(",", 1)[0]
+        if row.endswith("\n") and head.isdigit() and int(head) < step:
+            kept.append(row)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", newline="\n") as f:
+            f.writelines(kept)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def train(params, config, schedule, data_dir, index, specs, steps, seed,
           batch_size=16, lr=1e-4, weight_decay=0.0, sampler="cdts",
           out_dir=None, ckpt_every=100, resume_from=None, grad_clip=None,
@@ -171,10 +197,12 @@ def train(params, config, schedule, data_dir, index, specs, steps, seed,
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         trace_path = os.path.join(out_dir, "loss.csv")
-        mode = "a" if (resume_from and os.path.exists(trace_path)) else "w"
-        trace_f = open(trace_path, mode, newline="\n")
-        if mode == "w":
-            trace_f.write("step,loss\n")
+        if resume_from is not None and os.path.exists(trace_path):
+            _trim_trace(trace_path, start_step)
+            trace_f = open(trace_path, "a", newline="\n")
+        else:
+            trace_f = open(trace_path, "w", newline="\n")
+            trace_f.write(_TRACE_HEADER)
     else:
         trace_f = None
     try:

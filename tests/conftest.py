@@ -181,6 +181,54 @@ def upsample2x_reference(x):
     return ad._make(data, (x,), bwd)
 
 
+# ---------------------------------------------------------------------------
+# Reference SiLU and layer norm whose closures keep the gate and xhat from
+# the forward pass; the shipped ops rebuild them in backward and must give
+# the same bits.
+# ---------------------------------------------------------------------------
+
+def silu_reference(a):
+    """Drop-in for `ad.silu` that keeps its gate for backward."""
+    a = ad._wrap(a)
+    s = ad._sigmoid_np(a.data)
+    data = a.data * s
+
+    def bwd(g):
+        ad._accum(a, g * (s + a.data * s * (1.0 - s)))
+
+    return ad._make(data, (a,), bwd)
+
+
+def layer_norm_reference(x, gain, bias, eps=1e-5, axis=-1):
+    """Drop-in for `ad.layer_norm` that keeps xhat for backward."""
+    x, gain, bias = ad._wrap(x), ad._wrap(gain), ad._wrap(bias)
+    nd = x.data.ndim
+    axis %= nd
+    feat = [1] * nd
+    feat[axis] = x.data.shape[axis]
+    g = gain.data.reshape(feat)
+    xhat = x.data - x.data.mean(axis=axis, keepdims=True)
+    inv = (xhat * xhat).mean(axis=axis, keepdims=True)
+    inv += eps
+    inv **= -0.5
+    xhat *= inv
+    data = xhat * g
+    data += bias.data.reshape(feat)
+    others = tuple(i for i in range(nd) if i != axis)
+
+    def bwd(gy):
+        if gain.requires_grad:
+            ad._accum(gain, (gy * xhat).sum(axis=others).reshape(gain.data.shape))
+        if bias.requires_grad:
+            ad._accum(bias, gy.sum(axis=others).reshape(bias.data.shape))
+        if x.requires_grad:
+            d = gy * g
+            ad._accum(x, inv * (d - d.mean(axis=axis, keepdims=True)
+                                - xhat * (d * xhat).mean(axis=axis, keepdims=True)))
+
+    return ad._make(data, (x, gain, bias), bwd)
+
+
 def bits(a):
     """The raw bits of a float array, so that -0.0 and +0.0 differ."""
     a = np.ascontiguousarray(a)

@@ -203,15 +203,22 @@ def test_layer_norm_matches_composed_formula(axis, shape):
 
 def test_sigmoid_extremes_raise_no_floating_point_warning():
     for dtype in (np.float64, np.float32):
-        x = np.array([-1e4, -50.0, 0.0, 50.0, 1e4], dtype=dtype)
+        x = np.array([-1e4, -50.0, -0.0, 0.0, 50.0, 1e4], dtype=dtype)
+        g = np.array([1.0, -2.0, 0.5, -0.0, 3.0, -1.0], dtype=dtype)
         with np.errstate(all="raise"):
             s = ad._sigmoid_np(x)
             t = ad.Tensor(x, requires_grad=True)
             ad.tsum(ad.silu(t)).backward()
+            u = ad.Tensor(x, requires_grad=True)
+            ad.silu(u)._backward(g)
         assert s.dtype == dtype
         assert np.all((s >= 0.0) & (s <= 1.0))
-        assert s[2] == 0.5 and s[0] == 0.0 and s[-1] == 1.0
+        assert s[2] == s[3] == 0.5 and s[0] == 0.0 and s[-1] == 1.0
         assert np.all(np.isfinite(t.grad))
+        # The gate recomputed in backward gives the bits of the formula on
+        # the forward pass's gate.
+        assert np.array_equal(bits(t.grad), bits(1.0 * (s + x * s * (1.0 - s))))
+        assert np.array_equal(bits(u.grad), bits(g * (s + x * s * (1.0 - s))))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -300,30 +307,72 @@ def _conv_run(op, x, w, b, stride, g):
     return [out.data] + [t.grad for t in ts]
 
 
-def _conv_case(seed, k, stride, W, dtype, layout="C"):
+def _conv_case(seed, k, stride, W, dtype, layout="C", B=2, C=3, H=5, O=4):
     rng = np.random.default_rng(seed)
-    x = _signed(rng, (2, 3, 5, W), dtype)
-    w = _signed(rng, (4, 3, k, k), dtype)
-    b = _signed(rng, (4,), dtype)
-    g = _signed(rng, (2, 4, len(range(0, 5, stride)), len(range(0, W, stride))),
+    x = _signed(rng, (B, C, H, W), dtype)
+    w = _signed(rng, (O, C, k, k), dtype)
+    b = _signed(rng, (O,), dtype)
+    g = _signed(rng, (B, O, len(range(0, H, stride)), len(range(0, W, stride))),
                 dtype)
     g[:, :, 0] = -0.0  # rows and a channel whose every term is a signed zero
     g[:, 1] = -0.0
     return x, w, b, _layout(g, layout)
 
 
+# For the blocked inputs below: one batch item's shape (C, H, W) and O per
+# kernel size at which the row tiles and channel blocks stay above 10^6
+# multiply-adds each, as the 16 MiB blocks of a training step do. Smaller
+# products may go to a BLAS kernel that rounds a row differently when the
+# rows around it change.
+_BIG_ITEM = {1: ((32, 32, 384), 64), 3: ((11, 24, 384), 32)}
+
+
 @pytest.mark.parametrize("layout", ["C", "F", "transposed"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("W", [7, 8, 64])
+@pytest.mark.parametrize("W", [7, 8, 64, "batch", "item"])
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("stride", [1, 2])
-def test_conv2d_matches_reference_lowering_bitwise(stride, k, W, dtype, layout):
-    x, w, b, g = _conv_case(W + 10 * k + stride, k, stride, W, dtype, layout)
-    got = _conv_run(ad.conv2d, x, w, b, stride, g)
+def test_conv2d_matches_reference_lowering_bitwise(monkeypatch, stride, k, W,
+                                                   dtype, layout):
+    # W is an image width that fits one block, or a block limit below the
+    # columns of the whole batch ("batch": five small items, two per block)
+    # or of one item ("item": row tiles and channel blocks). Blocked, the
+    # last block is ragged and the workspace stays within the limit.
+    split = W if W in ("batch", "item") else None
+    B, C, H, O = 2, 3, 5, 4
+    if split == "batch":
+        B, W = 5, 64
+    elif split == "item":
+        (C, H, W), O = _BIG_ITEM[k]
+    x, w, b, g = _conv_case(W + 10 * k + stride, k, stride, W, dtype, layout,
+                            B=B, C=C, H=H, O=O)
     ref = _conv_run(conv2d_reference, x, w, b, stride, g)
+    seen = []
+    if split:
+        Hs, Wp = len(range(0, H, stride)), W + 2 * (k // 2)
+        item = C * k * k * Hs * Wp * np.dtype(dtype).itemsize
+        limit = 2 * item if split == "batch" else 2 * item // 5
+        monkeypatch.setattr(ad, "_BLOCK_BYTES", limit)
+        monkeypatch.setattr(ad, "_workspace", np.empty(0, dtype=np.uint8))
+        shipped_blocks = ad._blocks
+
+        def recorded_blocks(*args):
+            seen.append(list(shipped_blocks(*args)))
+            return seen[-1]
+
+        monkeypatch.setattr(ad, "_blocks", recorded_blocks)
+    got = _conv_run(ad.conv2d, x, w, b, stride, g)
     for a, r in zip(got, ref):
         assert a.dtype == r.dtype and a.shape == r.shape
         assert np.array_equal(bits(a), bits(r))
+    if split:
+        assert ad._workspace.nbytes <= limit
+        forward, backward = seen
+        if split == "batch":
+            assert [bs.stop for bs, _ in backward] == [2, 4, 6]
+        else:
+            assert len({cs.stop - cs.start for _, cs in backward}) == 2
+            assert len(forward) > 1 or k == stride == 1
 
 
 @pytest.mark.parametrize("first_bigger", [False, True])

@@ -189,12 +189,13 @@ def test_train_resume_continues_trace(trained, tmp_path):
     run = tmp_path / "run"
     shutil.copytree(src_tmp / "run", run)
     cfg = _write_config(tmp_path, data_dir=str(src_tmp / "data"))
-    full = (run / "loss.csv").read_text().strip().splitlines()
+    full = (run / "loss.csv").read_text()
     assert cli.main(["train", "--config", cfg, "--resume",
                      str(run / "ckpt_0000003.olck")]) == 0
-    resumed = (run / "loss.csv").read_text().strip().splitlines()
-    # resume appends steps 3..5 identical to the uninterrupted run
-    assert resumed[-3:] == full[4:7]
+    # The rows from step 3 on are replaced, not appended a second time, by
+    # rows identical to the uninterrupted run's.
+    assert (run / "loss.csv").read_text() == full
+    assert not (run / "loss.csv.tmp").exists()
 
 
 def test_train_resume_other_widths_exits_1(trained, tmp_path, capsys):

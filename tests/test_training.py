@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import conv2d_reference, upsample2x_reference
+from conftest import (conv2d_reference, layer_norm_reference,
+                      silu_reference, upsample2x_reference)
 from rangegen import autodiff as ad
 from rangegen import diffusion, forge, toy, training
 from rangegen.checkpoint import read_checkpoint, write_checkpoint
@@ -169,6 +170,17 @@ def test_train_resume_bit_identical(tmp_path):
         np.testing.assert_array_equal(params2[name].data, params[name].data)
 
 
+def test_trim_trace_keeps_complete_rows_below_the_step(tmp_path):
+    path = tmp_path / "loss.csv"
+    rows = [f"{i},{1.0 - 0.1 * i:.8e}\n" for i in range(5)]
+    path.write_text("step,loss\n" + "".join(rows) + "5,5.0e")  # a torn row
+    training._trim_trace(str(path), 6)
+    assert path.read_text() == "step,loss\n" + "".join(rows)
+    training._trim_trace(str(path), 3)
+    assert path.read_text() == "step,loss\n" + "".join(rows[:3])
+    assert [p.name for p in tmp_path.iterdir()] == ["loss.csv"]
+
+
 def test_train_keeps_one_tape_at_a_time(tmp_path):
     # tracemalloc counts numpy buffers. If a step's tape outlived the step,
     # the next forward pass would build its graph beside it and a 3-step
@@ -188,10 +200,54 @@ def test_train_keeps_one_tape_at_a_time(tmp_path):
     assert traced_peak(3) <= 1.15 * one
 
 
+def _buffer(a):
+    """The array that owns the memory `a` views."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def _closure_held_bytes(loss):
+    """(bytes that backward closures hold beyond every tape tensor's data,
+    bytes of the nodes' outputs), each buffer counted once."""
+    order = ad._toposort(loss)
+    tensors = {id(t): t for n in order for t in (n, *n._parents)}
+    data = {id(_buffer(t.data)) for t in tensors.values()}
+    outputs = {id(_buffer(n.data)): _buffer(n.data).nbytes for n in order}
+    held = {}
+    for node in order:
+        for cell in node._backward.__closure__ or ():
+            value = cell.cell_contents
+            items = value if isinstance(value, (list, tuple)) else (value,)
+            for a in items:
+                if isinstance(a, np.ndarray) and id(_buffer(a)) not in data:
+                    held[id(_buffer(a))] = _buffer(a).nbytes
+    return sum(held.values()), sum(outputs.values())
+
+
+def test_backward_closures_keep_little_beyond_the_tape():
+    # One toy training forward pass: what the closures keep besides the
+    # tensors' own data (layer norm's mean and inverse deviation) is a few
+    # percent of the tape. Keeping conv's padded input, layer norm's xhat
+    # and SiLU's gate made it about half.
+    cfg = toy.toy_denoiser_config()
+    params = init_denoiser(cfg, np.random.default_rng(0), dtype=np.float32)
+    rng = np.random.default_rng(1)
+    x0 = rng.uniform(-1.0, 1.0, (8, 2, 16, 64)).astype(np.float32)
+    zc = rng.standard_normal((8, cfg.token_count, cfg.cond_dim)).astype(
+        np.float32)
+    dom = np.arange(8) % cfg.num_domains
+    loss = diffusion.diffusion_loss(params, cfg, diffusion.cosine_schedule(64),
+                                    x0, zc, dom, rng)
+    held, outputs = _closure_held_bytes(loss)
+    assert 0 < held <= 0.05 * outputs
+
+
 def test_train_bit_identical_with_reference_kernels(tmp_path, monkeypatch):
-    # A fast guard for kernel rewrites: five toy steps with the shipped
-    # convolution and upsampling must give the same loss bits and parameter
-    # bytes as the plain reference lowering in conftest.
+    # A fast guard for kernel and closure rewrites: five toy steps with the
+    # shipped convolution, upsampling, SiLU and layer norm must give the
+    # same loss bits and parameter bytes as the conftest references (the
+    # plain conv lowering, and closures that keep the gate and xhat).
     def run(name):
         cfg, params, sched, data_dir, index, specs = _toy_pipeline(
             tmp_path / name, 2)
@@ -211,8 +267,11 @@ def test_train_bit_identical_with_reference_kernels(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ad, "conv2d", counted(conv2d_reference))
     monkeypatch.setattr(ad, "upsample2x", counted(upsample2x_reference))
+    monkeypatch.setattr(ad, "silu", counted(silu_reference))
+    monkeypatch.setattr(ad, "layer_norm", counted(layer_norm_reference))
     assert run("reference") == shipped
-    assert {"conv2d_reference", "upsample2x_reference"} <= set(calls)
+    assert {"conv2d_reference", "upsample2x_reference", "silu_reference",
+            "layer_norm_reference"} <= set(calls)
 
 
 def test_clip_grads_scales_a_shared_gradient_once_per_parameter():
