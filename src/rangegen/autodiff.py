@@ -52,34 +52,35 @@ of shape (B, C, Hp, Wp) is unfolded into columns of shape
 (B, C*kh*kw, Hs*Ws), channel-major: row ``(c, i, j)`` holds
 ``xp[:, c, i + stride*h, j + stride*w]`` for every output pixel
 ``(h, w)``. ``_im2col`` copies them from one strided
-(B, C, kh, kw, Hs, Ws) view of ``xp``. The forward pass is then one
+(B, C, kh, kw, Hs, Ws) view of ``xp``. ``_conv_forward`` then takes one
 matmul per batch item with the (O, C*kh*kw) kernel matrix, whose
 (B, O, Hs*Ws) result is already contiguous BCHW. Backward takes the
-weight gradient as ``(cols @ g^T)^T`` summed over the batch and the
-input gradient as ``w^T @ g`` folded back onto ``xp`` (col2im). The
-columns are kh*kw times the size of the input, so backward rebuilds them
-(and ``xp``) from the input rather than keeping them on the tape.
+weight gradient as ``(cols @ g^T)^T`` summed over the batch. The columns
+are kh*kw times the size of the input, so backward rebuilds them (and
+``xp``) from the input rather than keeping them on the tape.
 
-Column gradient at the padded row pitch. Backward pads ``g`` with zero
-columns to width Wp before ``w^T @ g``, so column ``m = h*Wp + w`` of
-tap (i, j) lands on flat index ``i*Wp + j + stride*m`` of the flattened
-padded input: each tap of col2im is one run with step ``stride``, for
-every stride and kernel size. The GEMM's reduction (over O) is
-unchanged, and the padding columns add exact +-0.0 to accumulators that
-start at +0.0, so the result is bit-identical to a per-pixel col2im.
+Input gradient by the adjoint convolution (Dumoulin & Visin 2016).
+Backward runs ``_conv_forward`` a second time, at stride 1: over ``gd``,
+the (B, O, H, W) gradient dilated by the stride (``g`` itself at stride
+1, else zeros with ``g`` at every stride-th row and column), padded as
+the input was, with the flipped, transposed (C, O, kh, kw) kernel
+``w[:, :, ::-1, ::-1]``. Input pixel (y, x) then collects
+``w[o, c, i, j] * g[o, h, w]`` exactly when ``i + stride*h = y + ph`` and
+``j + stride*w = x + pw`` modulo W, the forward's own pairing of input
+and output pixels: zero rows and wrapped azimuth columns are their own
+adjoint under a flipped kernel, at odd widths too, so nothing is cropped
+or folded afterwards, and the input gradient needs no lowering of its own.
 
-Blocks. ``conv2d`` builds its columns and column gradients one block at
-a time, each within ``_BLOCK_BYTES`` (16 MiB), so its memory does not
-grow with B*H*W*C; a convolution that fits takes one block and runs as
-if unblocked. ``_blocks`` splits the batch first, and the units of one
-batch item (output rows forward, input channels backward) only when that
-item's share does not fit. Blocking keeps every summation order. A
-forward tile computes whole output pixels, each still a sum over all of
-C*kh*kw; a channel block computes whole rows of the weight gradient
-(each a sum over all pixels) and whole rows of the column gradient (each
-a sum over all of O); the batch sum of the weight gradient runs in item
-order across blocks; and col2im still adds each element's taps in the
-order t = 0 .. kh*kw-1, since a block holds all taps of its channels.
+Blocks. ``conv2d`` builds its columns one block at a time, each within
+``_BLOCK_BYTES`` (16 MiB), so its memory does not grow with B*H*W*C; a
+convolution that fits takes one block and runs as if unblocked.
+``_blocks`` splits the batch first, and the units of one batch item
+(output rows in ``_conv_forward``, input channels for the weight
+gradient) only when that item's share does not fit. Blocking keeps every
+summation order. A row tile computes whole output pixels, each still a
+sum over all of its kernel matrix's columns; a channel block computes
+whole rows of the weight gradient, each a sum over all pixels; and the
+batch sum of the weight gradient runs in item order across blocks.
 What blocking changes is the shape of each GEMM, which BLAS must not
 round differently: OpenBLAS sends a one-row product to a matrix-vector
 kernel and, on some CPUs, a product of at most 10^6 multiply-adds to a
@@ -88,14 +89,15 @@ kernel. So unit runs are near-equal and at least two long, and a split
 inside one item leaves blocks of several MB, whose products stay far
 above that size; a split of the batch leaves each item's GEMM as it was.
 
-Workspace ownership. The columns (forward and backward) and the column
-gradient are written into one module-level workspace, ``_workspace``,
-which grows to the largest block, at most ``_BLOCK_BYTES`` whenever three
-units of a batch item fit in it, and is reused by every call, so the
-large per-call buffers cost no fresh pages. Only ``conv2d`` and its
-backward closure touch it, and only between entry and return: nothing
-else may hold a view of it, and no output or stored gradient aliases it.
-It is not thread-safe, and nothing here runs convolutions concurrently.
+Workspace ownership. The columns of the forward pass, of the weight
+gradient and of the input gradient are written into one module-level
+workspace, ``_workspace``, which grows to the largest block, at most
+``_BLOCK_BYTES`` whenever three units of a batch item fit in it, and is
+reused by every call, so the large per-call buffers cost no fresh pages.
+Only ``conv2d`` and its backward closure touch it, and only between
+entry and return: nothing else may hold a view of it, and no output or
+stored gradient aliases it. It is not thread-safe, and nothing here runs
+convolutions concurrently.
 """
 
 import math
@@ -516,7 +518,7 @@ def _pad_conv(x, ph, pw):
     return xp
 
 
-# conv2d's scratch memory for its columns and column gradients, and the
+# conv2d's scratch memory for the columns of its three lowerings, and the
 # most of it that one block of a convolution may take; see the module
 # docstring's ownership and block rules.
 _workspace = np.empty(0, dtype=np.uint8)
@@ -573,6 +575,23 @@ def _im2col(xp, kh, kw, stride, bs=_ALL, cs=_ALL, hs=_ALL):
     return cols.reshape(b, c * kh * kw, h * Ws)
 
 
+def _conv_forward(xp, w2, kh, kw, stride, Hs, Ws):
+    """(B, O, Hs, Ws) convolution of the padded input `xp` with the
+    (O, C*kh*kw) kernel matrix `w2`, in blocks of batch items and output
+    rows: each block's columns, then its GEMM into its slice of the output.
+    A 1x1 stride-1 kernel's columns are its input, so it takes one block."""
+    B, C = xp.shape[:2]
+    O = w2.shape[0]
+    dtype = np.result_type(w2, xp)
+    out = np.empty((B, O, Hs * Ws), dtype)
+    row_bytes = (0 if kh == kw == stride == 1
+                 else C * kh * kw * Ws * dtype.itemsize)
+    for bs, hs in _blocks(B, Hs, row_bytes):
+        np.matmul(w2, _im2col(xp, kh, kw, stride, bs, _ALL, hs),
+                  out=out[bs, :, hs.start * Ws : hs.stop * Ws])
+    return out.reshape(B, O, Hs, Ws)
+
+
 def conv2d(x, w, b=None, stride=1):
     """2D convolution of BCHW input with OCKhKw kernel. Odd kernels only."""
     x = _wrap(x)
@@ -590,19 +609,9 @@ def conv2d(x, w, b=None, stride=1):
         raise ShapeError(f"conv2d: kernel {w.shape} is wider than 2*{W}+1")
     Hs, Ws = (H - 1) // stride + 1, (W - 1) // stride + 1
     kk = kh * kw
-    xp = _pad_conv(x.data, ph, pw)
-    Hp, Wp = xp.shape[2:]
     w2 = w.data.reshape(O, C * kk)
-    dtype = np.result_type(w2, xp)
-    # Forward in blocks of batch items and output rows: each block's columns,
-    # then its GEMM into its slice of the output. A 1x1 stride-1 kernel's
-    # columns are its input, so it takes one block.
-    data = np.empty((B, O, Hs * Ws), dtype)
-    row_bytes = 0 if kh == kw == stride == 1 else C * kk * Ws * dtype.itemsize
-    for bs, hs in _blocks(B, Hs, row_bytes):
-        np.matmul(w2, _im2col(xp, kh, kw, stride, bs, _ALL, hs),
-                  out=data[bs, :, hs.start * Ws : hs.stop * Ws])
-    data = data.reshape(B, O, Hs, Ws)
+    data = _conv_forward(_pad_conv(x.data, ph, pw), w2, kh, kw, stride,
+                         Hs, Ws)
     parents = [x, w]
     if b is not None:
         b = _wrap(b)
@@ -610,26 +619,14 @@ def conv2d(x, w, b=None, stride=1):
         parents.append(b)
 
     def bwd(g):
-        xp = _pad_conv(x.data, ph, pw)  # re-padded: cheaper than keeping it
-        g2 = g.reshape(B, O, Hs * Ws)
-        # Column gradient at the padded row pitch Wp, so that tap (i, j) of
-        # col2im is one run with step `stride` through the flattened padded
-        # input, starting at i*Wp + j.
-        n = Hs * Wp
         if w.requires_grad:
+            xp = _pad_conv(x.data, ph, pw)  # re-padded: cheaper than keeping it
+            g2 = g.reshape(B, O, Hs * Ws)
             gw = np.empty((C * kk, O), np.result_type(xp, g2))
-        if x.requires_grad:
-            gp = np.empty((B, O, Hs, Wp), dtype=g.dtype)
-            gp[..., Ws:] = 0
-            gp[..., :Ws] = g
-            gp = gp.reshape(B, O, n)
-            dxp = np.zeros((B, C, Hp * Wp), dtype=xp.dtype)
-        # Blocks of batch items, and of input channels when one item's
-        # columns do not fit: each gives its rows of the weight gradient and
-        # of the column gradient.
-        for bs, cs in _blocks(B, C, kk * n * dtype.itemsize):
-            rows = slice(cs.start * kk, cs.stop * kk)
-            if w.requires_grad:
+            # Blocks of batch items, and of input channels when one item's
+            # columns do not fit: each gives its rows of the weight gradient.
+            for bs, cs in _blocks(B, C, kk * Hs * Ws * xp.itemsize):
+                rows = slice(cs.start * kk, cs.stop * kk)
                 # (cols @ g^T)^T: faster with OpenBLAS than g @ cols^T. The
                 # sum over the batch runs in item order across batch blocks.
                 part = np.matmul(_im2col(xp, kh, kw, stride, bs, cs),
@@ -640,30 +637,20 @@ def conv2d(x, w, b=None, stride=1):
                     for p in part:
                         gw[rows] += p
                 del part
-            if x.requires_grad:
-                wt, gb = w2.T[rows], gp[bs]
-                dcols = _scratch((gb.shape[0], wt.shape[0], n),
-                                 np.result_type(wt, gb))
-                np.matmul(wt, gb, out=dcols)
-                dcols = dcols.reshape(dcols.shape[0], -1, kk, n)
-                blk = dxp[bs, cs]
-                for t in range(kk):
-                    i, j = divmod(t, kw)
-                    run = blk[:, :, i * Wp + j :: stride][:, :, :n]
-                    run += dcols[:, :, t, : run.shape[2]]
-                del dcols
-        if w.requires_grad:
             _accum(w, gw.T.reshape(w.data.shape))
         if b is not None and b.requires_grad:
             _accum(b, g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            dx = dxp.reshape(B, C, Hp, Wp)[:, :, ph : ph + H]
-            if pw:
-                core = dx[:, :, :, pw : pw + W].copy()
-                core[:, :, :, : pw] += dx[:, :, :, W + pw :]
-                core[:, :, :, W - pw :] += dx[:, :, :, :pw]
-                dx = core
-            _accum(x, dx)
+            # The adjoint convolution: the stride-dilated gradient, padded
+            # as the input was, convolved with the flipped, transposed kernel.
+            gd = g
+            if stride > 1:
+                gd = np.zeros((B, O, H, W), g.dtype)
+                gd[:, :, ::stride, ::stride] = g
+            wt = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(
+                C, O * kk)
+            _accum(x, _conv_forward(_pad_conv(gd, ph, pw), wt, kh, kw, 1,
+                                    H, W))
 
     return _make(data, parents, bwd)
 

@@ -81,9 +81,14 @@ def ddpm_sample(params, config, schedule, zc, domain_idx, rng, steps=256,
                 shape=None, batch=1):
     """Ancestral sampling from pure noise; output clamped to [-1, 1].
 
-    Uses the posterior mean (x_t - beta/sqrt(1-ab_t) * eps_hat)/sqrt(alpha)
-    with variance beta_tilde over a strided sub-schedule of `steps` steps.
-    Returns an array of shape (batch, 2, H, W).
+    Each step predicts x0_hat = (x_t - sqrt(1-ab_t) * eps_hat)/sqrt(ab_t),
+    clips it to [-1, 1] and takes the posterior mean
+    (sqrt(ab_prev)*beta*x0_hat + sqrt(alpha)*(1-ab_prev)*x_t)/(1-ab_t)
+    with variance beta_tilde over a strided sub-schedule of `steps` steps,
+    as the clipped sampler of Ho et al. 2020 does. The clip keeps an error
+    in eps_hat near t = T, which x0_hat scales by sqrt((1-ab_t)/ab_t), from
+    driving the samples onto the bounds. Returns an array of shape
+    (batch, 2, H, W).
     """
     if shape is None:
         raise ConfigError("sample shape (H, W) is required")
@@ -102,7 +107,10 @@ def ddpm_sample(params, config, schedule, zc, domain_idx, rng, steps=256,
                              t_max=schedule.T).data
         alpha = ab[t] / ab[tprev]
         beta = 1.0 - alpha
-        mean = (x - beta / np.sqrt(1.0 - ab[t]) * eps_hat) / np.sqrt(alpha)
+        x0_hat = np.clip((x - np.sqrt(1.0 - ab[t]) * eps_hat) / np.sqrt(ab[t]),
+                         -1.0, 1.0)
+        mean = (np.sqrt(ab[tprev]) * beta * x0_hat
+                + np.sqrt(alpha) * (1.0 - ab[tprev]) * x) / (1.0 - ab[t])
         if tprev > 0:
             var = (1.0 - ab[tprev]) / (1.0 - ab[t]) * beta
             x = mean + np.sqrt(var) * rng.standard_normal(x.shape)

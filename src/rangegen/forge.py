@@ -10,6 +10,7 @@ pools, and pooled dataset assembly with carried-through splits.
 
 import configparser
 import hashlib
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -262,22 +263,71 @@ def default_domain_specs(sensor):
     return specs
 
 
+CORRUPTION_KEYS = ("dropout_slope", "intensity_attenuation", "scatter_count",
+                   "scatter_range")
+
+
 def parse_corruption_file(path):
-    """Severity tables from '[kind.level]' sections of 'key = value' lines."""
-    cp = configparser.ConfigParser()
-    with open(path) as f:
-        cp.read_file(f)
+    """Severity tables from '[kind.level]' sections of 'key = value' lines.
+
+    Every section names a known kind and an integer level, each kind's
+    levels are numbered 0..n-1, and every key is a known one with a finite
+    number (a whole one for scatter_count). Anything else is a one-line
+    ConfigError naming the file and the section."""
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        with open(path) as f:
+            cp.read_file(f)
+    except configparser.MissingSectionHeaderError as exc:
+        raise ConfigError(f"{path}: line {exc.lineno}: a key before any "
+                          "[kind.level] section header") from None
+    except configparser.DuplicateSectionError as exc:
+        raise ConfigError(f"{path}: section [{exc.section}] appears twice"
+                          ) from None
+    except configparser.DuplicateOptionError as exc:
+        raise ConfigError(f"{path}: section [{exc.section}]: key "
+                          f"{exc.option!r} appears twice") from None
+    except configparser.ParsingError as exc:
+        raise ConfigError(f"{path}: line {exc.errors[0][0]} is not "
+                          "'key = value'") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not text ({exc.reason} at byte "
+                          f"{exc.start})") from None
+    if cp.defaults():
+        raise ConfigError(f"{path}: section [{cp.default_section}] is not "
+                          "kind.level")
     tables = {}
     for section in cp.sections():
-        if "." not in section:
-            raise ConfigError(f"{path}: section {section!r} is not kind.level")
-        kind, lev = section.rsplit(".", 1)
-        level = {k: float(v) for k, v in cp.items(section)}
-        tables.setdefault(kind, []).append((int(lev), level))
-    return {
-        kind: tuple(level for _, level in sorted(levels))
-        for kind, levels in tables.items()
-    }
+        kind, _, lev = section.rpartition(".")
+        # A canonical level only, so that [fog.1] and [fog.01] cannot clash.
+        if kind not in DEFAULT_SEVERITIES or not (
+                lev.isdecimal() and lev == str(int(lev))):
+            raise ConfigError(
+                f"{path}: section [{section}] is not kind.level with kind "
+                f"one of {', '.join(DEFAULT_SEVERITIES)} and an integer level")
+        level = {}
+        for key, value in cp.items(section):
+            if key not in CORRUPTION_KEYS:
+                raise ConfigError(
+                    f"{path}: section [{section}]: unknown key {key!r} "
+                    f"(known: {', '.join(CORRUPTION_KEYS)})")
+            try:
+                number = float(value)
+            except ValueError:
+                number = math.nan
+            if not math.isfinite(number) or (key == "scatter_count" and not (
+                    number >= 0 and number.is_integer())):
+                raise ConfigError(f"{path}: section [{section}]: {key} = "
+                                  f"{value!r} is not a valid number")
+            level[key] = number
+        tables.setdefault(kind, {})[int(lev)] = level
+    for kind, levels in tables.items():
+        if sorted(levels) != list(range(len(levels))):
+            raise ConfigError(
+                f"{path}: [{kind}.*] levels are {sorted(levels)}, "
+                f"not 0..{len(levels) - 1}")
+    return {kind: tuple(levels[i] for i in range(len(levels)))
+            for kind, levels in tables.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,12 @@ def train(params, config, schedule, data_dir, index, specs, steps, seed,
     """
     if sampler not in SAMPLERS:
         raise ConfigError(f"unknown sampler {sampler!r}")
+    dom_to_idx = {s.id: i for i, s in enumerate(specs)}
+    unknown = sorted({dom for _, dom, _ in index.records} - set(dom_to_idx))
+    if unknown:
+        raise ConfigError(
+            f"{data_dir}: the corpus holds domains {', '.join(unknown)} that "
+            f"the config lacks (it has {', '.join(dom_to_idx)})")
     opt = AdamW(lr=lr, weight_decay=weight_decay)
     start_step = 0
     if resume_from is not None:
@@ -189,7 +195,6 @@ def train(params, config, schedule, data_dir, index, specs, steps, seed,
         if steps < start_step:
             raise ConfigError(f"cannot train to step {steps}: {resume_from} "
                               f"is already at step {start_step}")
-    dom_to_idx = {s.id: i for i, s in enumerate(specs)}
     cache = ScanCache(data_dir, config)
     batches = SAMPLERS[sampler](index, specs, batch_size, seed,
                                 start_step=start_step)

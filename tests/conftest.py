@@ -94,9 +94,9 @@ def bev_histogram_reference(points):
 
 
 # ---------------------------------------------------------------------------
-# Reference convolution and upsampling: fresh im2col columns, a kh x kw
-# strided col2im loop and a reshape-sum upsampling backward. The shipped
-# kernels must match these bit for bit.
+# Reference convolution and upsampling: fresh im2col columns, an unblocked
+# adjoint convolution for the input gradient and a reshape-sum upsampling
+# backward. The shipped kernels must match these bit for bit.
 # ---------------------------------------------------------------------------
 
 def _pad_conv_reference(x, ph, pw):
@@ -148,21 +148,40 @@ def conv2d_reference(x, w, b=None, stride=1):
         if b is not None and b.requires_grad:
             ad._accum(b, g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            dcols = np.matmul(w2.T, g2).reshape(B, C, kh, kw, Hs, Ws)
-            dxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, :, i : i + stride * Hs : stride,
-                        j : j + stride * Ws : stride] += dcols[:, :, i, j]
-            dx = dxp[:, :, ph : ph + H, :] if ph else dxp
-            if pw:
-                core = dx[:, :, :, pw : pw + W].copy()
-                core[:, :, :, : pw] += dx[:, :, :, W + pw :]
-                core[:, :, :, W - pw :] += dx[:, :, :, :pw]
-                dx = core
-            ad._accum(x, dx)
+            # The adjoint convolution: the stride-dilated gradient, padded as
+            # the input was, convolved with the flipped, transposed kernel.
+            gd = np.zeros((B, O, H, W), dtype=g.dtype)
+            gd[:, :, ::stride, ::stride] = g
+            wt = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            dx = np.matmul(wt.reshape(C, O * kh * kw), _im2col_reference(
+                _pad_conv_reference(gd, ph, pw), kh, kw, 1))
+            ad._accum(x, dx.reshape(B, C, H, W))
 
     return ad._make(data, parents, bwd)
+
+
+def conv2d_col2im_reference(w, g, H, W, stride):
+    """The input gradient of a conv2d of height H and width W by col2im:
+    the column gradient w^T @ g scattered back onto the padded input by a
+    kh x kw strided loop, cropped, and its wrapped azimuth columns folded
+    in. An independent oracle for the adjoint convolution."""
+    O, C, kh, kw = w.shape
+    ph, pw = kh // 2, kw // 2
+    B, _, Hs, Ws = g.shape
+    dcols = np.matmul(w.reshape(O, C * kh * kw).T, g.reshape(B, O, Hs * Ws))
+    dcols = dcols.reshape(B, C, kh, kw, Hs, Ws)
+    dxp = np.zeros((B, C, H + 2 * ph, W + 2 * pw), dtype=dcols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i : i + stride * Hs : stride,
+                j : j + stride * Ws : stride] += dcols[:, :, i, j]
+    dx = dxp[:, :, ph : ph + H]
+    if pw:
+        core = dx[:, :, :, pw : pw + W].copy()
+        core[:, :, :, : pw] += dx[:, :, :, W + pw :]
+        core[:, :, :, W - pw :] += dx[:, :, :, :pw]
+        dx = core
+    return dx
 
 
 def upsample2x_backward_reference(g):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from conftest import (bits, check_grads, conv2d_reference, rel_err,
-                      upsample2x_backward_reference)
+from conftest import (bits, check_grads, conv2d_col2im_reference,
+                      conv2d_reference, rel_err, upsample2x_backward_reference)
 
 from rangegen import autodiff as ad
 from rangegen import backend
@@ -321,10 +321,11 @@ def _conv_case(seed, k, stride, W, dtype, layout="C", B=2, C=3, H=5, O=4):
 
 # For the blocked inputs below: one batch item's shape (C, H, W) and O per
 # kernel size at which the row tiles and channel blocks stay above 10^6
-# multiply-adds each, as the 16 MiB blocks of a training step do. Smaller
-# products may go to a BLAS kernel that rounds a row differently when the
-# rows around it change.
-_BIG_ITEM = {1: ((32, 32, 384), 64), 3: ((11, 24, 384), 32)}
+# multiply-adds each, as the 16 MiB blocks of a training step do, and three
+# rows of the input gradient's columns (O*k*k*W each) fit the block limit.
+# Smaller products may go to a BLAS kernel that rounds a row differently
+# when the rows around it change.
+_BIG_ITEM = {1: ((32, 32, 384), 64), 3: ((11, 48, 384), 16)}
 
 
 @pytest.mark.parametrize("layout", ["C", "F", "transposed"])
@@ -335,9 +336,10 @@ _BIG_ITEM = {1: ((32, 32, 384), 64), 3: ((11, 24, 384), 32)}
 def test_conv2d_matches_reference_lowering_bitwise(monkeypatch, stride, k, W,
                                                    dtype, layout):
     # W is an image width that fits one block, or a block limit below the
-    # columns of the whole batch ("batch": five small items, two per block)
-    # or of one item ("item": row tiles and channel blocks). Blocked, the
-    # last block is ragged and the workspace stays within the limit.
+    # columns of the whole batch ("batch": five small items, two per block
+    # of the largest lowering) or of one item ("item": row tiles and channel
+    # blocks). Blocked, the last block is ragged and the workspace stays
+    # within the limit.
     split = W if W in ("batch", "item") else None
     B, C, H, O = 2, 3, 5, 4
     if split == "batch":
@@ -349,9 +351,15 @@ def test_conv2d_matches_reference_lowering_bitwise(monkeypatch, stride, k, W,
     ref = _conv_run(conv2d_reference, x, w, b, stride, g)
     seen = []
     if split:
-        Hs, Wp = len(range(0, H, stride)), W + 2 * (k // 2)
-        item = C * k * k * Hs * Wp * np.dtype(dtype).itemsize
-        limit = 2 * item if split == "batch" else 2 * item // 5
+        # Columns per item: the forward's and the weight gradient's, and the
+        # input gradient's (over the dilated gradient, none for a 1x1 kernel).
+        Hs, Ws = len(range(0, H, stride)), len(range(0, W, stride))
+        unit = k * k * np.dtype(dtype).itemsize
+        item = C * Hs * Ws * unit
+        if split == "batch":
+            limit = 2 * max(item, O * H * W * unit if k > 1 else 0)
+        else:
+            limit = 2 * item // 5
         monkeypatch.setattr(ad, "_BLOCK_BYTES", limit)
         monkeypatch.setattr(ad, "_workspace", np.empty(0, dtype=np.uint8))
         shipped_blocks = ad._blocks
@@ -367,12 +375,29 @@ def test_conv2d_matches_reference_lowering_bitwise(monkeypatch, stride, k, W,
         assert np.array_equal(bits(a), bits(r))
     if split:
         assert ad._workspace.nbytes <= limit
-        forward, backward = seen
+        forward, wgrad, xgrad = seen
         if split == "batch":
-            assert [bs.stop for bs, _ in backward] == [2, 4, 6]
+            # Whole items only; the largest lowering takes two per block.
+            assert all(len({bs.start for bs, _ in blk}) == len(blk)
+                       for blk in seen)
+            assert max(([bs.stop for bs, _ in blk] for blk in seen),
+                       key=len) == [2, 4, 6]
         else:
-            assert len({cs.stop - cs.start for _, cs in backward}) == 2
+            assert len({cs.stop - cs.start for _, cs in wgrad}) == 2
             assert len(forward) > 1 or k == stride == 1
+            assert len(xgrad) > 1 or k == 1
+
+
+@pytest.mark.parametrize("W", [7, 8, 64])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv2d_input_grad_matches_col2im(stride, k, W):
+    # The adjoint convolution of the dilated gradient gives the input
+    # gradient that scattering w^T @ g back onto the padded input does.
+    x, w, b, g = _conv_case(W + 10 * k + stride, k, stride, W, np.float64)
+    _, dx, _, _ = _conv_run(ad.conv2d, x, w, b, stride, g)
+    oracle = conv2d_col2im_reference(w, g, *x.shape[2:], stride)
+    assert rel_err(dx, oracle) <= 1e-12
 
 
 @pytest.mark.parametrize("first_bigger", [False, True])

@@ -239,6 +239,43 @@ def test_toy_config_with_another_grid_exits_1(trained, tmp_path, capsys,
     assert not (tmp_path / "data").exists() and not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("sampler", ["cdts", "homogeneous"])
+def test_train_on_corpus_with_unknown_domains_exits_1(trained, tmp_path,
+                                                      capsys, sampler):
+    # A toy corpus under a full (eight-domain) config: its domains are not
+    # the config's, and training stops before the first batch.
+    src_tmp, _ = trained
+    cfg = _write_config(tmp_path, toy="false", data_dir=str(src_tmp / "data"))
+    assert cli.main(["train", "--config", cfg, "--steps", "1",
+                     "--sampler", sampler]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "ToyFar, ToyNear" in err and not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("text, named", [
+    (b"[fog.x]\ndropout_slope = 0.01\n", "[fog.x]"),
+    (b"[fog.0]\ndropout_slope = abc\n", "[fog.0]: dropout_slope"),
+    (b"dropout_slope = 0.01\n[fog.0]\n", "section header"),
+    (b"[fog.0]\ndropout_slope = 0.01\n[fog.0]\ndropout_slope = 0.02\n",
+     "[fog.0] appears twice"),
+    (b"[fogg.0]\ndropout_slope = 0.01\n", "[fogg.0]"),
+    (b"[fog.0]\ndropout_slop = 0.01\n", "[fog.0]: unknown key 'dropout_slop'"),
+    (b"[fog.0]\ndropout_slope = 0.01\n[fog.2]\ndropout_slope = 0.02\n",
+     "[fog.*] levels are [0, 2]"),
+    (b"\xff\xfe[fog.0]\n", "not text"),
+], ids=["level", "value", "no_section", "duplicate", "kind", "key", "gap",
+        "binary"])
+def test_malformed_corruption_file_exits_1(tmp_path, capsys, text, named):
+    path = tmp_path / "severity.cfg"
+    path.write_bytes(text)
+    cfg = _write_config(tmp_path, toy="false", corruption_file=str(path))
+    assert cli.main(["train", "--config", cfg, "--steps", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert named in err
+
+
 def test_train_without_dataset_fails(tmp_path, capsys):
     cfg = _write_config(tmp_path, data_dir=str(tmp_path / "nowhere"))
     assert cli.main(["train", "--config", cfg]) == 1

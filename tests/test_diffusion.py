@@ -220,16 +220,17 @@ def test_sampler_zero_net_matches_two_step_oracle():
 
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((1, 2, 8, 16))
-    # t=2 -> t=1
+    # t=2 -> t=1: x0_hat = x / sqrt(ab_2), clipped, then the posterior mean.
     alpha = ab[2] / ab[1]
     beta = 1.0 - alpha
-    mean = x / np.sqrt(alpha)
+    x0 = np.clip(x / np.sqrt(ab[2]), -1.0, 1.0)
+    mean = (np.sqrt(ab[1]) * beta * x0
+            + np.sqrt(alpha) * (1.0 - ab[1]) * x) / (1.0 - ab[2])
     var = (1.0 - ab[1]) / (1.0 - ab[2]) * beta
     x = mean + np.sqrt(var) * rng.standard_normal(x.shape)
-    # t=1 -> t=0
-    alpha = ab[1] / ab[0]
-    x = x / np.sqrt(alpha)
-    np.testing.assert_allclose(out, np.clip(x, -1.0, 1.0), atol=1e-12)
+    # t=1 -> t=0: ab_0 = 1, so the posterior mean is the clipped x0_hat.
+    x = np.clip(x / np.sqrt(ab[1]), -1.0, 1.0)
+    np.testing.assert_allclose(out, x, atol=1e-12)
 
 
 def test_sampler_uses_conditioning():
@@ -260,7 +261,10 @@ def _recording_reference_sample(params, cfg, sched, zc, domain_idx, rng,
                              domain_idx, t_max=sched.T).data
         alpha = ab[t] / ab[tprev]
         beta = 1.0 - alpha
-        mean = (x - beta / np.sqrt(1.0 - ab[t]) * eps_hat) / np.sqrt(alpha)
+        x0_hat = np.clip((x - np.sqrt(1.0 - ab[t]) * eps_hat) / np.sqrt(ab[t]),
+                         -1.0, 1.0)
+        mean = (np.sqrt(ab[tprev]) * beta * x0_hat
+                + np.sqrt(alpha) * (1.0 - ab[tprev]) * x) / (1.0 - ab[t])
         if tprev > 0:
             var = (1.0 - ab[tprev]) / (1.0 - ab[t]) * beta
             x = mean + np.sqrt(var) * rng.standard_normal(x.shape)
