@@ -702,12 +702,14 @@ def recurrence(abar, q):
 # Parameter initialization
 # ---------------------------------------------------------------------------
 
-def fan_in_uniform(rng, shape, fan_in, dtype=np.float64):
+def fan_in_uniform(rng, shape, fan_in):
     bound = 1.0 / np.sqrt(fan_in)
-    return Tensor(
-        rng.uniform(-bound, bound, size=shape).astype(dtype), requires_grad=True
-    )
+    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
 
-def zeros_param(shape, dtype=np.float64):
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
+def zeros_param(shape):
+    return Tensor(np.zeros(shape), requires_grad=True)
+
+
+def ones_param(shape):
+    return Tensor(np.ones(shape), requires_grad=True)

@@ -149,23 +149,22 @@ def parse_config(path, overrides=None):
     and participate in toy-preset resolution.
     """
     values = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            if key not in _FIELD_TYPES:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            raw = raw.strip()
-            try:
-                values[key] = _coerce(key, raw)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: config key {key!r}: "
-                                  f"bad value {raw!r} ({exc})") from None
+    for lineno, line in enumerate(forge.read_text_lines(path), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, raw = line.partition("=")
+        key = key.strip()
+        if key not in _FIELD_TYPES:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        raw = raw.strip()
+        try:
+            values[key] = _coerce(key, raw)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r}: "
+                              f"bad value {raw!r} ({exc})") from None
     if overrides:
         for key, value in overrides.items():
             if key not in _FIELD_TYPES:
@@ -211,18 +210,17 @@ def denoiser_config_from(cfg, num_domains):
 def _read_base_index(path):
     entries = []
     root = os.path.dirname(os.path.abspath(path))
-    with open(path) as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ConfigError(f"{path}: expected 'path<TAB>split' lines")
-            scan, split = parts
-            if not os.path.isabs(scan):
-                scan = os.path.join(root, scan)
-            entries.append((scan, split))
+    for line in forge.read_text_lines(path):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ConfigError(f"{path}: expected 'path<TAB>split' lines")
+        scan, split = parts
+        if not os.path.isabs(scan):
+            scan = os.path.join(root, scan)
+        entries.append((scan, split))
     return entries
 
 

@@ -42,23 +42,22 @@ def embed_prompt(prompt, token_count=TOKEN_COUNT, dim=EMBED_DIM):
 # Cross-attention block
 # ---------------------------------------------------------------------------
 
-def init_cross_attention(rng, channels, embed_dim, dk, ff_mult=2,
-                         dtype=np.float64):
+def init_cross_attention(rng, channels, embed_dim, dk):
     """Parameter dict for one cross-attention block (single head, dk = dv)."""
-    ff = ff_mult * channels
+    ff = 2 * channels
     return {
-        "wq": ad.fan_in_uniform(rng, (channels, dk), channels, dtype),
-        "wk": ad.fan_in_uniform(rng, (embed_dim, dk), embed_dim, dtype),
-        "wv": ad.fan_in_uniform(rng, (embed_dim, dk), embed_dim, dtype),
-        "wo": ad.fan_in_uniform(rng, (dk, channels), dk, dtype),
-        "ff1_w": ad.fan_in_uniform(rng, (channels, ff), channels, dtype),
-        "ff1_b": ad.zeros_param((ff,), dtype),
-        "ff2_w": ad.fan_in_uniform(rng, (ff, channels), ff, dtype),
-        "ff2_b": ad.zeros_param((channels,), dtype),
-        "ln1_g": ad.Tensor(np.ones(channels, dtype=dtype), requires_grad=True),
-        "ln1_b": ad.zeros_param((channels,), dtype),
-        "ln2_g": ad.Tensor(np.ones(channels, dtype=dtype), requires_grad=True),
-        "ln2_b": ad.zeros_param((channels,), dtype),
+        "wq": ad.fan_in_uniform(rng, (channels, dk), channels),
+        "wk": ad.fan_in_uniform(rng, (embed_dim, dk), embed_dim),
+        "wv": ad.fan_in_uniform(rng, (embed_dim, dk), embed_dim),
+        "wo": ad.fan_in_uniform(rng, (dk, channels), dk),
+        "ff1_w": ad.fan_in_uniform(rng, (channels, ff), channels),
+        "ff1_b": ad.zeros_param((ff,)),
+        "ff2_w": ad.fan_in_uniform(rng, (ff, channels), ff),
+        "ff2_b": ad.zeros_param((channels,)),
+        "ln1_g": ad.ones_param((channels,)),
+        "ln1_b": ad.zeros_param((channels,)),
+        "ln2_g": ad.ones_param((channels,)),
+        "ln2_b": ad.zeros_param((channels,)),
     }
 
 

@@ -5,6 +5,12 @@ cross-attention at the deeper resolutions, directional sequence
 modeling over azimuth- and elevation-flattened feature maps at the
 bottleneck (two passes through one shared causal scan layer, averaged),
 and per-domain bounded affine modulation of decoder activations.
+
+Every stage runs its residual block, then whichever of these blocks the
+config gives it, in this order: cross-attention (`attn_stages`), the
+directional scan (`cdfm_stages`, encoder and middle only) and the
+domain modulation (decoder only). The middle stage ends in a second
+residual block.
 """
 
 from dataclasses import dataclass
@@ -30,7 +36,6 @@ class DenoiserConfig:
     dafs_bound: float = 0.1         # lambda: tanh modulation bound
     use_cdfm: bool = True
     use_dafs: bool = True
-    in_channels: int = 2
 
     def __post_init__(self):
         for w in self.widths:
@@ -41,6 +46,9 @@ class DenoiserConfig:
         if self.time_width % 2:
             raise ConfigError("time_width must be even")
 
+
+# Range and intensity, as geometry.normalize stacks them.
+IN_CHANNELS = 2
 
 TINY_CONFIG = DenoiserConfig(
     widths=(4, 8), attn_stages=(2,), cdfm_stages=(2,), groups=4,
@@ -96,14 +104,14 @@ def scan_unflatten(s, height, width, direction):
 # Selective scan (diagonal state-space recurrence with input-dependent gates)
 # ---------------------------------------------------------------------------
 
-def init_scan(rng, channels, dtype=np.float64):
+def init_scan(rng, channels):
     return {
-        "a": ad.zeros_param((channels,), dtype),          # decay = -exp(a)
-        "wd": ad.fan_in_uniform(rng, (channels,), 1, dtype),
-        "bd": ad.zeros_param((channels,), dtype),
-        "wb": ad.fan_in_uniform(rng, (channels, channels), channels, dtype),
-        "wc": ad.fan_in_uniform(rng, (channels, channels), channels, dtype),
-        "skip": ad.Tensor(np.ones(channels, dtype=dtype), requires_grad=True),
+        "a": ad.zeros_param((channels,)),          # decay = -exp(a)
+        "wd": ad.fan_in_uniform(rng, (channels,), 1),
+        "bd": ad.zeros_param((channels,)),
+        "wb": ad.fan_in_uniform(rng, (channels, channels), channels),
+        "wc": ad.fan_in_uniform(rng, (channels, channels), channels),
+        "skip": ad.ones_param((channels,)),
     }
 
 
@@ -136,15 +144,15 @@ def _grouped_scan(s, params, groups):
     return ad.reshape(y, (B, L, C))
 
 
-def init_cdfm(rng, channels, groups, dtype=np.float64):
+def init_cdfm(rng, channels, groups):
     if channels % groups:
         raise ConfigError(f"channels {channels} not divisible by {groups} groups")
     return {
-        "scan": init_scan(rng, channels // groups, dtype),
-        "ln_g": ad.Tensor(np.ones(channels, dtype=dtype), requires_grad=True),
-        "ln_b": ad.zeros_param((channels,), dtype),
-        "proj_w": ad.fan_in_uniform(rng, (channels, channels), channels, dtype),
-        "proj_b": ad.zeros_param((channels,), dtype),
+        "scan": init_scan(rng, channels // groups),
+        "ln_g": ad.ones_param((channels,)),
+        "ln_b": ad.zeros_param((channels,)),
+        "proj_w": ad.fan_in_uniform(rng, (channels, channels), channels),
+        "proj_b": ad.zeros_param((channels,)),
     }
 
 
@@ -175,9 +183,9 @@ def cdfm_block(z, params, groups):
 # Domain-adaptive feature scaling
 # ---------------------------------------------------------------------------
 
-def init_dafs(num_domains, channels, dtype=np.float64):
+def init_dafs(num_domains, channels):
     # Zero init makes the modulation an exact identity before training.
-    return ad.zeros_param((num_domains, 2 * channels), dtype)
+    return ad.zeros_param((num_domains, 2 * channels))
 
 
 def dafs_modulate(f, domain_idx, table, bound):
@@ -195,27 +203,27 @@ def dafs_modulate(f, domain_idx, table, bound):
 # UNet assembly
 # ---------------------------------------------------------------------------
 
-def channel_norm(x, gain, bias, eps=1e-5):
+def channel_norm(x, gain, bias):
     """Layer norm over the channel axis of a BCHW tensor."""
-    return ad.layer_norm(x, gain, bias, eps, axis=1)
+    return ad.layer_norm(x, gain, bias, axis=1)
 
 
-def _init_resblock(rng, cin, cout, time_width, dtype):
+def _init_resblock(rng, cin, cout, time_width):
     p = {
-        "ln1_g": ad.Tensor(np.ones(cin, dtype=dtype), requires_grad=True),
-        "ln1_b": ad.zeros_param((cin,), dtype),
-        "w1": ad.fan_in_uniform(rng, (cout, cin, 3, 3), cin * 9, dtype),
-        "b1": ad.zeros_param((cout,), dtype),
-        "tw": ad.fan_in_uniform(rng, (time_width, cout), time_width, dtype),
-        "tb": ad.zeros_param((cout,), dtype),
-        "ln2_g": ad.Tensor(np.ones(cout, dtype=dtype), requires_grad=True),
-        "ln2_b": ad.zeros_param((cout,), dtype),
-        "w2": ad.fan_in_uniform(rng, (cout, cout, 3, 3), cout * 9, dtype),
-        "b2": ad.zeros_param((cout,), dtype),
+        "ln1_g": ad.ones_param((cin,)),
+        "ln1_b": ad.zeros_param((cin,)),
+        "w1": ad.fan_in_uniform(rng, (cout, cin, 3, 3), cin * 9),
+        "b1": ad.zeros_param((cout,)),
+        "tw": ad.fan_in_uniform(rng, (time_width, cout), time_width),
+        "tb": ad.zeros_param((cout,)),
+        "ln2_g": ad.ones_param((cout,)),
+        "ln2_b": ad.zeros_param((cout,)),
+        "w2": ad.fan_in_uniform(rng, (cout, cout, 3, 3), cout * 9),
+        "b2": ad.zeros_param((cout,)),
     }
     if cin != cout:
-        p["ws"] = ad.fan_in_uniform(rng, (cout, cin, 1, 1), cin, dtype)
-        p["bs"] = ad.zeros_param((cout,), dtype)
+        p["ws"] = ad.fan_in_uniform(rng, (cout, cin, 1, 1), cin)
+        p["bs"] = ad.zeros_param((cout,))
     return p
 
 
@@ -230,6 +238,33 @@ def _resblock(x, p, temb):
     return ad.add(skip, h)
 
 
+def _init_extras(rng, cfg, i, c, decoder):
+    """Stage i's blocks after its residual block, in forward order."""
+    extras = {}
+    if i in cfg.attn_stages:
+        extras["attn"] = conditioning.init_cross_attention(rng, c, cfg.cond_dim,
+                                                           cfg.dk)
+    if not decoder and cfg.use_cdfm and i in cfg.cdfm_stages:
+        extras["cdfm"] = init_cdfm(rng, c, cfg.groups)
+    if decoder and cfg.use_dafs:
+        extras["dafs"] = init_dafs(cfg.num_domains, c)
+    return extras
+
+
+def _extras(h, stage, zc, domain_idx, cfg):
+    """Run the blocks `_init_extras` gave `stage` on a BCHW tensor."""
+    if "attn" in stage:
+        z = conditioning.cross_attention(ad.transpose(h, (0, 2, 3, 1)), zc,
+                                         stage["attn"])
+        h = ad.transpose(z, (0, 3, 1, 2))
+    if "cdfm" in stage:
+        z = cdfm_block(ad.transpose(h, (0, 2, 3, 1)), stage["cdfm"], cfg.groups)
+        h = ad.transpose(z, (0, 3, 1, 2))
+    if "dafs" in stage:
+        h = dafs_modulate(h, domain_idx, stage["dafs"], cfg.dafs_bound)
+    return h
+
+
 def _flat(prefix, d, out):
     for k, v in d.items():
         if isinstance(v, dict):
@@ -240,62 +275,49 @@ def _flat(prefix, d, out):
 
 
 def init_denoiser(config, rng, dtype=np.float64):
-    """All learnable buffers of the denoiser as a flat name -> Tensor dict."""
+    """All learnable buffers of the denoiser as a flat name -> Tensor dict.
+
+    Every draw is made in float64 and cast to `dtype` once, at the end.
+    """
     cfg = config
     S = len(cfg.widths)
     tw = cfg.time_width
     p = {}
     p["temb"] = {
-        "l1_w": ad.fan_in_uniform(rng, (tw, tw), tw, dtype),
-        "l1_b": ad.zeros_param((tw,), dtype),
-        "l2_w": ad.fan_in_uniform(rng, (tw, tw), tw, dtype),
-        "l2_b": ad.zeros_param((tw,), dtype),
+        "l1_w": ad.fan_in_uniform(rng, (tw, tw), tw),
+        "l1_b": ad.zeros_param((tw,)),
+        "l2_w": ad.fan_in_uniform(rng, (tw, tw), tw),
+        "l2_b": ad.zeros_param((tw,)),
     }
     c1 = cfg.widths[0]
     p["stem"] = {
-        "w": ad.fan_in_uniform(rng, (c1, cfg.in_channels, 3, 3),
-                               cfg.in_channels * 9, dtype),
-        "b": ad.zeros_param((c1,), dtype),
+        "w": ad.fan_in_uniform(rng, (c1, IN_CHANNELS, 3, 3), IN_CHANNELS * 9),
+        "b": ad.zeros_param((c1,)),
     }
     for i in range(1, S):
         ci = cfg.widths[i - 1]
-        stage = {"res": _init_resblock(rng, ci, ci, tw, dtype)}
-        if i in cfg.attn_stages:
-            stage["attn"] = conditioning.init_cross_attention(
-                rng, ci, cfg.cond_dim, cfg.dk, dtype=dtype)
-        if cfg.use_cdfm and i in cfg.cdfm_stages:
-            stage["cdfm"] = init_cdfm(rng, ci, cfg.groups, dtype)
-        p[f"enc{i}"] = stage
+        p[f"enc{i}"] = {"res": _init_resblock(rng, ci, ci, tw),
+                        **_init_extras(rng, cfg, i, ci, False)}
         p[f"down{i}"] = {
-            "w": ad.fan_in_uniform(rng, (cfg.widths[i], ci, 3, 3), ci * 9, dtype),
-            "b": ad.zeros_param((cfg.widths[i],), dtype),
+            "w": ad.fan_in_uniform(rng, (cfg.widths[i], ci, 3, 3), ci * 9),
+            "b": ad.zeros_param((cfg.widths[i],)),
         }
     cS = cfg.widths[-1]
-    mid = {"res1": _init_resblock(rng, cS, cS, tw, dtype)}
-    if S in cfg.attn_stages:
-        mid["attn"] = conditioning.init_cross_attention(
-            rng, cS, cfg.cond_dim, cfg.dk, dtype=dtype)
-    if cfg.use_cdfm and S in cfg.cdfm_stages:
-        mid["cdfm"] = init_cdfm(rng, cS, cfg.groups, dtype)
-    mid["res2"] = _init_resblock(rng, cS, cS, tw, dtype)
-    p["mid"] = mid
+    p["mid"] = {"res1": _init_resblock(rng, cS, cS, tw),
+                **_init_extras(rng, cfg, S, cS, False),
+                "res2": _init_resblock(rng, cS, cS, tw)}
     for i in range(S - 1, 0, -1):
         ci = cfg.widths[i - 1]
-        cdeep = cfg.widths[i]
-        stage = {"res": _init_resblock(rng, cdeep + ci, ci, tw, dtype)}
-        if i in cfg.attn_stages:
-            stage["attn"] = conditioning.init_cross_attention(
-                rng, ci, cfg.cond_dim, cfg.dk, dtype=dtype)
-        if cfg.use_dafs:
-            stage["dafs"] = init_dafs(cfg.num_domains, ci, dtype)
-        p[f"dec{i}"] = stage
+        p[f"dec{i}"] = {"res": _init_resblock(rng, cfg.widths[i] + ci, ci, tw),
+                        **_init_extras(rng, cfg, i, ci, True)}
     p["head"] = {
-        "ln_g": ad.Tensor(np.ones(c1, dtype=dtype), requires_grad=True),
-        "ln_b": ad.zeros_param((c1,), dtype),
-        "w": ad.fan_in_uniform(rng, (cfg.in_channels, c1, 1, 1), c1, dtype),
-        "b": ad.zeros_param((cfg.in_channels,), dtype),
+        "ln_g": ad.ones_param((c1,)),
+        "ln_b": ad.zeros_param((c1,)),
+        "w": ad.fan_in_uniform(rng, (IN_CHANNELS, c1, 1, 1), c1),
+        "b": ad.zeros_param((IN_CHANNELS,)),
     }
-    return _flat("", p, {})
+    return {name: ad.Tensor(t.data, requires_grad=True, dtype=dtype)
+            for name, t in _flat("", p, {}).items()}
 
 
 def _nest(params):
@@ -308,18 +330,6 @@ def _nest(params):
             d = d.setdefault(part, {})
         d[leaf] = v
     return out
-
-
-def _attn_bchw(h, zc, attn_params):
-    z = ad.transpose(h, (0, 2, 3, 1))
-    z = conditioning.cross_attention(z, zc, attn_params)
-    return ad.transpose(z, (0, 3, 1, 2))
-
-
-def _cdfm_bchw(h, cdfm_params, groups):
-    z = ad.transpose(h, (0, 2, 3, 1))
-    z = cdfm_block(z, cdfm_params, groups)
-    return ad.transpose(z, (0, 3, 1, 2))
 
 
 def denoise(params, config, x, t, zc, domain_idx, t_max=None):
@@ -336,8 +346,8 @@ def denoise(params, config, x, t, zc, domain_idx, t_max=None):
     if not isinstance(zc, ad.Tensor):
         zc = ad.Tensor(np.asarray(zc, dtype=x.dtype))
     B, C, H, W = x.shape
-    if C != cfg.in_channels:
-        raise ShapeError(f"expected {cfg.in_channels} input channels, got {C}")
+    if C != IN_CHANNELS:
+        raise ShapeError(f"expected {IN_CHANNELS} input channels, got {C}")
     if H % (1 << (S - 1)) or W % (1 << (S - 1)):
         raise ShapeError(f"{H}x{W} input not divisible by 2^{S - 1}")
 
@@ -352,32 +362,20 @@ def denoise(params, config, x, t, zc, domain_idx, t_max=None):
     skips = []
     for i in range(1, S):
         stage = p[f"enc{i}"]
-        h = _resblock(h, stage["res"], temb)
-        if "attn" in stage:
-            h = _attn_bchw(h, zc, stage["attn"])
-        if "cdfm" in stage:
-            h = _cdfm_bchw(h, stage["cdfm"], cfg.groups)
+        h = _extras(_resblock(h, stage["res"], temb), stage, zc, domain_idx, cfg)
         skips.append(h)
         down = p[f"down{i}"]
         h = ad.conv2d(h, down["w"], down["b"], stride=2)
 
     mid = p["mid"]
-    h = _resblock(h, mid["res1"], temb)
-    if "attn" in mid:
-        h = _attn_bchw(h, zc, mid["attn"])
-    if "cdfm" in mid:
-        h = _cdfm_bchw(h, mid["cdfm"], cfg.groups)
+    h = _extras(_resblock(h, mid["res1"], temb), mid, zc, domain_idx, cfg)
     h = _resblock(h, mid["res2"], temb)
 
     for i in range(S - 1, 0, -1):
         stage = p[f"dec{i}"]
         h = ad.upsample2x(h)
         h = ad.concat([h, skips[i - 1]], axis=1)
-        h = _resblock(h, stage["res"], temb)
-        if "attn" in stage:
-            h = _attn_bchw(h, zc, stage["attn"])
-        if "dafs" in stage:
-            h = dafs_modulate(h, domain_idx, stage["dafs"], cfg.dafs_bound)
+        h = _extras(_resblock(h, stage["res"], temb), stage, zc, domain_idx, cfg)
 
     head = p["head"]
     h = ad.silu(channel_norm(h, head["ln_g"], head["ln_b"]))

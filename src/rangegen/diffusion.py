@@ -95,7 +95,7 @@ def ddpm_sample(params, config, schedule, zc, domain_idx, rng, steps=256,
     H, W = shape
     tau = sample_timesteps(schedule.T, steps)
     ab = schedule.alpha_bar
-    x = rng.standard_normal((batch, config.in_channels, H, W))
+    x = rng.standard_normal((batch, dn.IN_CHANNELS, H, W))
     # Plain views of the parameters and the prompt tokens: no operand of the
     # forward pass has requires_grad, so no op records a tape.
     params = {name: ad.Tensor(p.data) for name, p in params.items()}

@@ -10,6 +10,7 @@ pools, and pooled dataset assembly with carried-through splits.
 
 import configparser
 import hashlib
+import io
 import math
 import os
 from dataclasses import dataclass, field
@@ -53,6 +54,18 @@ class DomainSpec:
             raise ConfigError(f"domain {self.id}: prompt pool is empty")
 
 
+def read_text_lines(path):
+    """The lines of a UTF-8 text file, split as text mode splits them; a
+    ConfigError naming the file and the byte offset if it is not UTF-8."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=None).readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not text ({exc.reason} at byte "
+                          f"{exc.start})") from None
+
+
 @dataclass
 class DatasetIndex:
     records: list = field(default_factory=list)  # (relative path, domain, split)
@@ -74,15 +87,14 @@ class DatasetIndex:
     @classmethod
     def load(cls, path):
         records = []
-        with open(path) as f:
-            for line in f:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise ConfigError(f"{path}: malformed index line {line!r}")
-                records.append(tuple(parts))
+        for line in read_text_lines(path):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise ConfigError(f"{path}: malformed index line {line!r}")
+            records.append(tuple(parts))
         return cls(records)
 
 
@@ -276,8 +288,7 @@ def parse_corruption_file(path):
     ConfigError naming the file and the section."""
     cp = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path) as f:
-            cp.read_file(f)
+        cp.read_file(read_text_lines(path), source=path)
     except configparser.MissingSectionHeaderError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}: a key before any "
                           "[kind.level] section header") from None
@@ -290,9 +301,6 @@ def parse_corruption_file(path):
     except configparser.ParsingError as exc:
         raise ConfigError(f"{path}: line {exc.errors[0][0]} is not "
                           "'key = value'") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not text ({exc.reason} at byte "
-                          f"{exc.start})") from None
     if cp.defaults():
         raise ConfigError(f"{path}: section [{cp.default_section}] is not "
                           "kind.level")
@@ -352,7 +360,7 @@ def build_dataset(base, specs, out_dir, seed):
     """
     os.makedirs(out_dir, exist_ok=True)
     index = DatasetIndex()
-    summary = {"skipped": [], "counts": {}}
+    summary = {"skipped": []}
     for spec in specs:
         if spec.base_key not in base:
             raise ConfigError(
@@ -360,11 +368,17 @@ def build_dataset(base, specs, out_dir, seed):
             )
         dom_dir = os.path.join(out_dir, spec.id)
         os.makedirs(dom_dir, exist_ok=True)
+        grid = (spec.sensor.height, spec.sensor.width)
         for path, split in base[spec.base_key]:
             try:
                 img = read_olri(path)
             except (OSError, ConfigError) as exc:
                 summary["skipped"].append((spec.id, path, str(exc)))
+                continue
+            if (img.config.height, img.config.width) != grid:
+                summary["skipped"].append((
+                    spec.id, path, f"{img.config.height}x{img.config.width} "
+                    f"scan, the configured grid is {grid[0]}x{grid[1]}"))
                 continue
             rng = scan_rng(seed, spec.id, os.path.basename(path))
             if spec.corruption is not None:
@@ -376,8 +390,7 @@ def build_dataset(base, specs, out_dir, seed):
             rel = os.path.join(spec.id, f"{stem}.olri")
             write_olri(os.path.join(out_dir, rel), img)
             index.records.append((rel, spec.id, split))
-        summary["counts"][spec.id] = sum(
-            1 for r in index.records if r[1] == spec.id
-        )
+    # A domain whose every scan was skipped still reports its 0.
+    summary["counts"] = {spec.id: 0 for spec in specs} | index.counts()
     index.save(os.path.join(out_dir, "index.tsv"))
     return index, summary

@@ -5,7 +5,7 @@ Column u is azimuth (wraps 360 degrees); row v is elevation, with v=0 at
 the top of the vertical field of view:
 
     u = 1/2 * (1 - atan2(y, x) / pi) * W
-    v = (f_up - asin(z / r)) / f * H,   f = |f_up| + |f_down|
+    v = (f_up - asin(z / r)) / f * H,   f = f_up - f_down
 
 Continuous (u, v) are discretized by floor and clamped to the grid;
 points exactly on the field-of-view edge are kept.
@@ -42,7 +42,7 @@ class SensorConfig:
 
     @property
     def fov(self):
-        return abs(self.f_up) + abs(self.f_down)
+        return self.f_up - self.f_down
 
 
 # 64-beam default used by the vehicle/weather domains; beam-reduced

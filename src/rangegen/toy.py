@@ -11,7 +11,6 @@ import os
 
 import numpy as np
 
-from .denoiser import DenoiserConfig
 from .forge import DomainSpec
 from .geometry import DEFAULT_SENSOR, RangeImage, write_olri
 
@@ -47,13 +46,6 @@ def toy_domain_specs():
                    base_key=dom.lower())
         for dom in ("ToyNear", "ToyFar")
     ]
-
-
-def toy_denoiser_config():
-    """The denoiser a `toy = true` run trains, as a DenoiserConfig."""
-    fields = {f.name for f in dataclasses.fields(DenoiserConfig)}
-    return DenoiserConfig(num_domains=len(TOY_RANGES), **{
-        key: value for key, value in TOY_PRESET.items() if key in fields})
 
 
 def _toy_scan(rng, lo, hi, cfg):

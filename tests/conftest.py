@@ -3,7 +3,11 @@
 import numpy as np
 
 from rangegen import autodiff as ad
-from rangegen import geometry, metrics
+from rangegen import cli, geometry, metrics, toy
+
+# The denoiser a `toy = true` run trains.
+TOY_DENOISER_CONFIG = cli.denoiser_config_from(
+    cli.RunConfig(toy=True, **toy.TOY_PRESET), len(toy.toy_domain_specs()))
 
 
 def rel_err(approx, exact):

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import TOY_DENOISER_CONFIG
 import test_autodiff
 import test_conditioning
 import test_denoiser
@@ -145,7 +146,7 @@ def test_criterion_7_conditional_control(capsys, tmp_path):
         specs = toy.toy_domain_specs()
         data_dir = str(tmp_path / "built")
         index, _ = forge.build_dataset(base, specs, data_dir, seed=0)
-        cfg = toy.toy_denoiser_config()
+        cfg = TOY_DENOISER_CONFIG
         params = dn.init_denoiser(cfg, np.random.default_rng(0),
                                   dtype=np.float32)
         schedule = df.cosine_schedule(64)

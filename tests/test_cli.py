@@ -108,8 +108,9 @@ def test_toy_preset_trains_the_toy_denoiser(tmp_path):
     path.write_text("toy = true\n")
     cfg = cli.parse_config(str(path))
     specs = cli.domain_specs_from_config(cfg)
-    assert (cli.denoiser_config_from(cfg, len(specs))
-            == toy.toy_denoiser_config())
+    assert cli.denoiser_config_from(cfg, len(specs)) == DenoiserConfig(
+        widths=(8, 16), attn_stages=(2,), cdfm_stages=(2,), time_width=32,
+        cond_dim=16, dk=8, num_domains=2)
     assert (cfg.image_height, cfg.image_width) == (
         toy.TOY_SENSOR.height, toy.TOY_SENSOR.width)
 
@@ -274,6 +275,39 @@ def test_malformed_corruption_file_exits_1(tmp_path, capsys, text, named):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
     assert named in err
+
+
+NOT_UTF8 = b"\xff\xfe = 1\n"
+
+
+def _assert_not_text_error(capsys, path):
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not text") and err.count("\n") == 1
+
+
+def test_run_config_not_utf8_exits_1(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(NOT_UTF8)
+    assert cli.main(["train", "--config", str(path)]) == 1
+    _assert_not_text_error(capsys, path)
+
+
+def test_dataset_index_not_utf8_exits_1(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    index = tmp_path / "data" / "index.tsv"
+    index.parent.mkdir()
+    index.write_bytes(NOT_UTF8)
+    assert cli.main(["train", "--config", cfg, "--steps", "1"]) == 1
+    _assert_not_text_error(capsys, index)
+
+
+def test_base_index_not_utf8_exits_1(tmp_path, capsys):
+    base = tmp_path / "base.tsv"
+    base.write_bytes(NOT_UTF8)
+    cfg = _write_config(tmp_path, toy="false", base_vehicle_index=base,
+                        base_drone_index=base, base_quadruped_index=base)
+    assert cli.main(["build-data", "--config", cfg]) == 1
+    _assert_not_text_error(capsys, base)
 
 
 def test_train_without_dataset_fails(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Denoiser structure: scans, directional fusion, domain modulation, UNet."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import check_grads, directional_fd, rel_err
@@ -303,16 +305,52 @@ def test_denoise_prompt_sensitivity():
     assert np.abs(a.data - b.data).max() > 0
 
 
-def test_denoise_every_parameter_receives_gradient():
-    cfg, params, x, zc, _ = _tiny_setup(3)
+_WIDE = dn.DenoiserConfig(
+    widths=(4, 8, 8), attn_stages=(1, 3), cdfm_stages=(1, 3), groups=4,
+    time_width=8, cond_dim=8, dk=4, token_count=4, num_domains=2)
+
+
+# Each case's config and the blocks each of its stages must hold, in order.
+@pytest.mark.parametrize("cfg, blocks", [
+    (dn.TINY_CONFIG, {"enc1": ["res"], "mid": ["res1", "attn", "cdfm", "res2"],
+                      "dec1": ["res", "dafs"]}),
+    (dataclasses.replace(dn.TINY_CONFIG, use_cdfm=False),
+     {"enc1": ["res"], "mid": ["res1", "attn", "res2"], "dec1": ["res", "dafs"]}),
+    (dataclasses.replace(dn.TINY_CONFIG, use_dafs=False),
+     {"enc1": ["res"], "mid": ["res1", "attn", "cdfm", "res2"], "dec1": ["res"]}),
+    (_WIDE, {"enc1": ["res", "attn", "cdfm"], "enc2": ["res"],
+             "mid": ["res1", "attn", "cdfm", "res2"], "dec2": ["res", "dafs"],
+             "dec1": ["res", "attn", "dafs"]}),
+], ids=["tiny", "no_cdfm", "no_dafs", "stage1_and_mid"])
+def test_denoise_every_parameter_receives_gradient(cfg, blocks):
+    rng = np.random.default_rng(3)
+    params = dn.init_denoiser(cfg, rng)
+    held = {}
+    for stage, block in dict.fromkeys(tuple(name.split(".")[:2])
+                                      for name in params):
+        if stage.startswith(("enc", "mid", "dec")):
+            held.setdefault(stage, []).append(block)
+    assert list(held.items()) == list(blocks.items())
     for name, p in params.items():
         if "dafs" in name:
             p.data = np.random.default_rng(0).standard_normal(p.data.shape)
+    x = rng.standard_normal((1, 2, 8, 16))
+    zc = rng.standard_normal((1, cfg.token_count, cfg.cond_dim))
     out = dn.denoise(params, cfg, x, np.array([4]), zc, np.array([1]), t_max=64)
     ad.tsum(ad.mul(out, out)).backward()
     for name, p in params.items():
         assert p.grad is not None, f"no gradient reached {name}"
         assert np.all(np.isfinite(p.grad)), f"non-finite gradient at {name}"
+
+
+@pytest.mark.parametrize("cfg", [dn.TINY_CONFIG, _WIDE], ids=["tiny", "wide"])
+def test_init_denoiser_float32_is_the_float64_init_cast(cfg):
+    wide = dn.init_denoiser(cfg, np.random.default_rng(4))
+    narrow = dn.init_denoiser(cfg, np.random.default_rng(4), np.float32)
+    assert list(narrow) == list(wide)
+    for name, p in narrow.items():
+        assert p.dtype == np.float32 and p.requires_grad
+        assert p.data.tobytes() == wide[name].data.astype(np.float32).tobytes()
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -5,11 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import TOY_DENOISER_CONFIG
 from rangegen import autodiff as ad
 from rangegen import denoiser as dn
 from rangegen import diffusion as df
 from rangegen.errors import ConfigError, TrainingError
-from rangegen.toy import toy_denoiser_config
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +254,7 @@ def _recording_reference_sample(params, cfg, sched, zc, domain_idx, rng,
     # records its tape.
     tau = df.sample_timesteps(sched.T, steps)
     ab = sched.alpha_bar
-    x = rng.standard_normal((len(domain_idx), cfg.in_channels) + shape)
+    x = rng.standard_normal((len(domain_idx), dn.IN_CHANNELS) + shape)
     for i in range(len(tau) - 1, 0, -1):
         t, tprev = tau[i], tau[i - 1]
         eps_hat = dn.denoise(params, cfg, x, np.full(len(x), t), zc,
@@ -311,7 +311,7 @@ def test_sampler_records_no_tape_and_sets_no_grad(monkeypatch):
 def test_sampler_traced_peak_below_one_recording_forward():
     # tracemalloc counts numpy buffers. A whole 4-step sampling run must
     # peak well below one denoiser call that records its tape.
-    cfg = toy_denoiser_config()
+    cfg = TOY_DENOISER_CONFIG
     params = dn.init_denoiser(cfg, np.random.default_rng(16),
                               dtype=np.float32)
     zc = np.zeros((1, cfg.token_count, cfg.cond_dim), dtype=np.float32)

@@ -370,6 +370,53 @@ def test_build_dataset_skips_truncated_scan(tmp_path):
     assert "cut.olri" in summary["skipped"][0][2]
 
 
+def _grid_corpus(tmp_path, rng, grids):
+    """One vehicle base scan per (height, width) in `grids`."""
+    entries = []
+    for i, (h, w) in enumerate(grids):
+        path = str(tmp_path / f"scan_{i}_{h}x{w}.olri")
+        cfg = geo.SensorConfig(h, w, math.radians(3.0), math.radians(-25.0),
+                               80.0)
+        geo.write_olri(path, random_image(rng, cfg))
+        entries.append((path, "train"))
+    return {"vehicle": entries}
+
+
+def test_build_dataset_skips_scans_off_the_configured_grid(tmp_path):
+    rng = np.random.default_rng(15)
+    base = _grid_corpus(tmp_path, rng, [(16, 64), (8, 64), (16, 64)])
+    specs = [s for s in forge.default_domain_specs(CFG)
+             if s.id in ("Vehicle", "Beam32")]
+    index, summary = forge.build_dataset(base, specs, str(tmp_path / "out"), 0)
+    off = base["vehicle"][1][0]
+    assert summary["counts"] == {"Vehicle": 2, "Beam32": 2}
+    assert [(dom, path) for dom, path, _ in summary["skipped"]] == [
+        ("Vehicle", off), ("Beam32", off)]
+    assert all("8x64" in reason and "16x64" in reason
+               for _, _, reason in summary["skipped"])
+    # The grid check comes before beam reduction: Beam32 keeps 8 rows.
+    for rel, dom, _ in index.records:
+        img = geo.read_olri(tmp_path / "out" / rel)
+        assert img.config.height == (8 if dom == "Beam32" else 16)
+
+
+def test_build_dataset_all_scans_off_grid_counts_zero(tmp_path):
+    rng = np.random.default_rng(16)
+    base = _grid_corpus(tmp_path, rng, [(8, 64), (8, 64)])
+    spec = forge.DomainSpec(id="Vehicle", prompt_pool=("p",), sensor=CFG)
+    index, summary = forge.build_dataset(base, [spec], str(tmp_path / "out"), 0)
+    assert index.records == [] and summary["counts"] == {"Vehicle": 0}
+    assert len(summary["skipped"]) == 2
+
+
+def test_text_that_is_not_utf8_names_file_and_byte(tmp_path):
+    # Past the first 8 KiB, where text-mode reads report a chunk offset.
+    path = tmp_path / "index.tsv"
+    path.write_bytes(b"a\tFog\ttrain\n" * 1000 + b"\xff\n")
+    with pytest.raises(ConfigError, match=r"index.tsv: not text .* byte 12000\)"):
+        forge.DatasetIndex.load(path)
+
+
 def test_index_tsv_roundtrip(tmp_path):
     index = forge.DatasetIndex([("a/b.olri", "Fog", "train"),
                                 ("c.olri", "Snow", "val")])

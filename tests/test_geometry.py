@@ -81,6 +81,19 @@ def test_half_pixel_roundtrip_100k_points():
     assert el_err.max() <= half_el + 1e-12
 
 
+def test_fov_below_horizon_fills_every_row():
+    # With f_up < 0 the field of view is f_up - f_down = 25 degrees; a
+    # 35-degree |f_up| + |f_down| would leave the bottom rows empty.
+    cfg = geo.SensorConfig(32, 64, math.radians(-5.0), math.radians(-30.0),
+                           80.0)
+    assert cfg.fov == pytest.approx(math.radians(25.0))
+    _, el = geo.pixel_angles(cfg)
+    assert np.all((el >= cfg.f_down) & (el <= cfg.f_up))
+    pts = random_in_fov_points(np.random.default_rng(3), 20_000, cfg)
+    img = geo.rasterize(geo.PointCloud(pts, np.full(len(pts), 0.5)), cfg)
+    assert img.valid.any(axis=1).all()
+
+
 # ---------------------------------------------------------------------------
 # Rasterization
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (conv2d_reference, layer_norm_reference,
-                      silu_reference, upsample2x_reference)
+from conftest import (TOY_DENOISER_CONFIG, conv2d_reference,
+                      layer_norm_reference, silu_reference,
+                      upsample2x_reference)
 from rangegen import autodiff as ad
 from rangegen import diffusion, forge, toy, training
 from rangegen.checkpoint import read_checkpoint, write_checkpoint
@@ -119,7 +120,7 @@ def _toy_pipeline(tmp_path, n_per_domain=10, seed=0):
     base = toy.make_toy_corpus(str(tmp_path / "base"), n_per_domain, seed)
     specs = toy.toy_domain_specs()
     index, _ = forge.build_dataset(base, specs, str(tmp_path / "built"), seed)
-    cfg = toy.toy_denoiser_config()
+    cfg = TOY_DENOISER_CONFIG
     params = init_denoiser(cfg, np.random.default_rng(seed), dtype=np.float32)
     schedule = diffusion.cosine_schedule(64)
     return cfg, params, schedule, str(tmp_path / "built"), index, specs
@@ -230,7 +231,7 @@ def test_backward_closures_keep_little_beyond_the_tape():
     # tensors' own data (layer norm's mean and inverse deviation) is a few
     # percent of the tape. Keeping conv's padded input, layer norm's xhat
     # and SiLU's gate made it about half.
-    cfg = toy.toy_denoiser_config()
+    cfg = TOY_DENOISER_CONFIG
     params = init_denoiser(cfg, np.random.default_rng(0), dtype=np.float32)
     rng = np.random.default_rng(1)
     x0 = rng.uniform(-1.0, 1.0, (8, 2, 16, 64)).astype(np.float32)
@@ -301,7 +302,7 @@ def test_checkpoint_meta_roundtrip(tmp_path):
                             weight_decay=0.01)
     path = str(tmp_path / "state.olck")
     training.save_training_checkpoint(path, params, opt, 3, 0)
-    cfg2 = toy.toy_denoiser_config()
+    cfg2 = TOY_DENOISER_CONFIG
     params2 = init_denoiser(cfg2, np.random.default_rng(99), dtype=np.float32)
     opt2 = AdamW()
     meta = training.load_training_checkpoint(path, params2, opt2)
@@ -326,7 +327,7 @@ def _saved_state(tmp_path):
 
 
 def _fresh_params():
-    return init_denoiser(toy.toy_denoiser_config(),
+    return init_denoiser(TOY_DENOISER_CONFIG,
                          np.random.default_rng(1), dtype=np.float32)
 
 
