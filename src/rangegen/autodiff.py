@@ -8,7 +8,8 @@ parameter) flagged ``requires_grad``. An op's output keeps its gradient
 only until its closure has pushed it to the parents; then ``backward()``
 sets it back to None, so a step's intermediate gradients do not pile up.
 
-Tests run everything in float64; training uses float32 for speed and so
+Tests run everything in float64; training and sampling use float32 for
+speed (the sampler runs the network in its parameters' dtype), and
 checkpoints round-trip bit-exactly.
 
 Tape lifetime. An op records a tape node (its parents and backward

@@ -348,8 +348,7 @@ def cmd_sample(args):
     sensor = sensor_from_config(cfg)
     spec = by_id[args.domain]
     prompt = forge.sample_prompt(spec, "infer")
-    emb = conditioning.embed_prompt(prompt, dconf.token_count,
-                                    dconf.cond_dim).astype(np.float32)
+    emb = conditioning.embed_prompt(prompt, dconf.token_count, dconf.cond_dim)
     dom_idx = [s.id for s in specs].index(args.domain)
     out_dir = args.out or os.path.join(cfg.out_dir, "samples", args.domain)
     os.makedirs(out_dir, exist_ok=True)
@@ -358,7 +357,7 @@ def cmd_sample(args):
             np.random.SeedSequence([cfg.seed, dom_idx, i]))
         start = time.perf_counter()
         batch = diffusion.ddpm_sample(
-            params, dconf, schedule, emb[None].astype(np.float32),
+            params, dconf, schedule, emb[None],
             np.array([dom_idx]), rng, steps=cfg.sampler_steps,
             shape=(sensor.height, sensor.width))
         seconds = time.perf_counter() - start
@@ -393,6 +392,8 @@ def _histograms_from_dir(path):
 
 
 def cmd_eval(args):
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
     gen = _histograms_from_dir(args.generated)
     ref = _histograms_from_dir(args.reference)
     report = metrics.metric_report(gen, ref)

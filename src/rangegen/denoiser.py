@@ -3,8 +3,9 @@
 Encoder/decoder convolutional stages with timestep embeddings, text
 cross-attention at the deeper resolutions, directional sequence
 modeling over azimuth- and elevation-flattened feature maps at the
-bottleneck (two passes through one shared causal scan layer, averaged),
-and per-domain bounded affine modulation of decoder activations.
+bottleneck (one shared causal scan layer over both directions, stacked
+along the batch axis and run as one pass, then averaged), and per-domain
+bounded affine modulation of decoder activations.
 
 Every stage runs its residual block, then whichever of these blocks the
 config gives it, in this order: cross-attention (`attn_stages`), the
@@ -144,6 +145,9 @@ def _grouped_scan(s, params, groups):
     return ad.reshape(y, (B, L, C))
 
 
+_DIRECTIONS = ("horizontal", "vertical")
+
+
 def init_cdfm(rng, channels, groups):
     if channels % groups:
         raise ConfigError(f"channels {channels} not divisible by {groups} groups")
@@ -157,22 +161,28 @@ def init_cdfm(rng, channels, groups):
 
 
 def cdfm_block(z, params, groups):
-    """Directional two-pass scan fusion over a (B, H, W, C) feature map.
+    """Directional scan fusion over a (B, H, W, C) feature map.
 
-    Both directional passes go through the same scan parameter buffers;
-    the per-direction update is S + scan(LN(S)). The two unflattened
-    results are averaged and passed through a residual channel
-    projection for cross-group mixing.
+    Both directions go through the same scan parameter buffers; the
+    per-direction update is S + scan(LN(S)). The horizontal and the
+    vertical sequences are stacked along the batch axis, (2B, H*W, C), so
+    the norm, the scan and the residual add run once over both: the
+    stack's first half is the horizontal result and its second half the
+    vertical one. Each row is computed as it would be alone, so the output
+    has the bits of one pass per direction; a shared parameter's gradient
+    is one reduction over all 2B rows. The two unflattened results are
+    averaged and passed through a residual channel projection for
+    cross-group mixing.
     """
     B, H, W, C = z.shape
     if C % groups:
         raise ConfigError(f"channels {C} not divisible by {groups} groups")
-    fused = []
-    for direction in ("horizontal", "vertical"):
-        s = scan_flatten(z, direction)
-        m = _grouped_scan(ad.layer_norm(s, params["ln_g"], params["ln_b"]),
-                          params["scan"], groups)
-        fused.append(scan_unflatten(ad.add(s, m), H, W, direction))
+    s = ad.concat([scan_flatten(z, d) for d in _DIRECTIONS], axis=0)
+    m = _grouped_scan(ad.layer_norm(s, params["ln_g"], params["ln_b"]),
+                      params["scan"], groups)
+    u = ad.add(s, m)
+    fused = [scan_unflatten(ad.narrow(u, 0, k * B, B), H, W, d)
+             for k, d in enumerate(_DIRECTIONS)]
     avg = ad.mul(ad.add(fused[0], fused[1]), 0.5)
     seq = ad.reshape(avg, (B, H * W, C))
     proj = ad.add(ad.matmul(seq, params["proj_w"]), params["proj_b"])

@@ -97,14 +97,17 @@ def ddpm_sample(params, config, schedule, zc, domain_idx, rng, steps=256,
     ab = schedule.alpha_bar
     x = rng.standard_normal((batch, dn.IN_CHANNELS, H, W))
     # Plain views of the parameters and the prompt tokens: no operand of the
-    # forward pass has requires_grad, so no op records a tape.
+    # forward pass has requires_grad, so no op records a tape. The network
+    # runs in the parameters' dtype; the chain stays in float64, and eps_hat
+    # is promoted to it by the update.
     params = {name: ad.Tensor(p.data) for name, p in params.items()}
-    zc = ad.Tensor(np.asarray(zc, dtype=x.dtype))
+    net_dtype = next(iter(params.values())).dtype
+    zc = ad.Tensor(np.asarray(zc, dtype=net_dtype))
     for i in range(len(tau) - 1, 0, -1):
         t, tprev = tau[i], tau[i - 1]
         t_batch = np.full(batch, t)
-        eps_hat = dn.denoise(params, config, x, t_batch, zc, domain_idx,
-                             t_max=schedule.T).data
+        eps_hat = dn.denoise(params, config, x.astype(net_dtype, copy=False),
+                             t_batch, zc, domain_idx, t_max=schedule.T).data
         alpha = ab[t] / ab[tprev]
         beta = 1.0 - alpha
         x0_hat = np.clip((x - np.sqrt(1.0 - ab[t]) * eps_hat) / np.sqrt(ab[t]),

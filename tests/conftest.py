@@ -4,6 +4,7 @@ import numpy as np
 
 from rangegen import autodiff as ad
 from rangegen import cli, geometry, metrics, toy
+from rangegen import denoiser as dn
 
 # The denoiser a `toy = true` run trains.
 TOY_DENOISER_CONFIG = cli.denoiser_config_from(
@@ -250,6 +251,27 @@ def layer_norm_reference(x, gain, bias, eps=1e-5, axis=-1):
                                 - xhat * (d * xhat).mean(axis=axis, keepdims=True)))
 
     return ad._make(data, (x, gain, bias), bwd)
+
+
+# ---------------------------------------------------------------------------
+# Reference directional fusion: one scan pass per direction. The shipped
+# block stacks both directions into one pass and must match it bit for bit
+# in the forward pass.
+# ---------------------------------------------------------------------------
+
+def cdfm_block_reference(z, params, groups):
+    """Drop-in for `denoiser.cdfm_block`: the two directions in two passes."""
+    B, H, W, C = z.shape
+    fused = []
+    for direction in ("horizontal", "vertical"):
+        s = dn.scan_flatten(z, direction)
+        m = dn._grouped_scan(ad.layer_norm(s, params["ln_g"], params["ln_b"]),
+                             params["scan"], groups)
+        fused.append(dn.scan_unflatten(ad.add(s, m), H, W, direction))
+    avg = ad.mul(ad.add(fused[0], fused[1]), 0.5)
+    seq = ad.reshape(avg, (B, H * W, C))
+    proj = ad.add(ad.matmul(seq, params["proj_w"]), params["proj_b"])
+    return ad.reshape(ad.add(seq, proj), (B, H, W, C))
 
 
 def bits(a):

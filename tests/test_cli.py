@@ -572,6 +572,19 @@ def test_eval_matches_reference_path_byte_for_byte(tmp_path, capsys):
     assert capsys.readouterr().out == report["text"]
 
 
+def test_eval_creates_missing_out_directory(tmp_path, capsys):
+    _write_synthetic_scans(tmp_path / "gen", 13, 2)
+    _write_synthetic_scans(tmp_path / "ref", 14, 2)
+    out = tmp_path / "missing" / "dir"
+    assert cli.main(["eval", "--generated", str(tmp_path / "gen"),
+                     "--reference", str(tmp_path / "ref"),
+                     "--out", str(out)]) == 0
+    printed = capsys.readouterr()
+    assert printed.err == ""
+    assert (out / "metrics.txt").read_text() == printed.out
+    assert (out / "metrics.csv").read_text().startswith("set_a_size,")
+
+
 def test_eval_empty_directory_fails(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()

@@ -4,7 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import check_grads, directional_fd, rel_err
+from conftest import (bits, cdfm_block_reference, check_grads, directional_fd,
+                      rel_err)
 
 from rangegen import autodiff as ad
 from rangegen import denoiser as dn
@@ -186,6 +187,47 @@ def test_cdfm_channel_group_mismatch_rejected():
     p = dn.init_cdfm(rng, 8, 4)
     with pytest.raises(ConfigError):
         dn.cdfm_block(ad.Tensor(np.zeros((1, 2, 3, 6))), p, 4)
+
+
+def _cdfm_run(block, z, flat, weight, groups):
+    """Output of `block` and the gradients of sum(out * weight) for the input
+    and for every parameter, on fresh leaves."""
+    zt = ad.Tensor(z, requires_grad=True)
+    leaves = {k: ad.Tensor(v, requires_grad=True) for k, v in flat.items()}
+    out = block(zt, dn._nest(leaves), groups)
+    ad.tsum(ad.mul(out, ad.Tensor(weight))).backward()
+    return out.data, zt.grad, {k: t.grad for k, t in leaves.items()}
+
+
+@pytest.mark.parametrize("B", [1, 3])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cdfm_block_matches_two_pass_reference(dtype, B):
+    # Both directions in one stacked pass give the two-pass output bit for
+    # bit. Gradients move only by summation order: a shared parameter's
+    # gradient is one reduction over 2B rows, not two reductions added.
+    rng = np.random.default_rng(40 + B)
+    H, W, C, groups = 3, 5, 8, 4
+    p = {}
+    dn._flat("", dn.init_cdfm(rng, C, groups), p)
+    flat = {k: rng.uniform(-0.8, 0.8, t.shape).astype(dtype)
+            for k, t in p.items()}
+    z = rng.standard_normal((B, H, W, C)).astype(dtype)
+    weight = rng.standard_normal((B, H, W, C)).astype(dtype)
+    out, dz, grads = _cdfm_run(dn.cdfm_block, z, flat, weight, groups)
+    ref, ref_dz, ref_grads = _cdfm_run(cdfm_block_reference, z, flat, weight,
+                                       groups)
+    assert out.dtype == ref.dtype == dtype
+    assert np.array_equal(bits(out), bits(ref))
+    tol = 1e-12 if dtype == np.float64 else 1e-5
+
+    def max_rel(a, r):
+        return np.abs(a - r).max() / np.abs(r).max()
+
+    assert max_rel(dz, ref_dz) <= tol
+    assert sorted(grads) == sorted(ref_grads) == sorted(flat)
+    for k in flat:
+        assert grads[k].dtype == dtype
+        assert max_rel(grads[k], ref_grads[k]) <= tol, k
 
 
 @pytest.mark.parametrize("seed", range(20))

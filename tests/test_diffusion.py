@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import TOY_DENOISER_CONFIG
+from conftest import TOY_DENOISER_CONFIG, bits
 from rangegen import autodiff as ad
 from rangegen import denoiser as dn
 from rangegen import diffusion as df
@@ -151,6 +151,32 @@ def test_loss_populates_gradients():
     assert len(grads) > 0.9 * len(params)
 
 
+def test_paper_width_step_does_not_depend_on_conv_block_size(monkeypatch):
+    # One float32 training step at paper widths on a 64x256 batch of two:
+    # its convolutions split into row tiles and channel blocks under both
+    # limits, and the loss and every gradient keep their bits.
+    cfg = dn.DenoiserConfig()
+    rng = np.random.default_rng(20)
+    x0 = rng.uniform(-1.0, 1.0, (2, dn.IN_CHANNELS, 64, 256)).astype(np.float32)
+    zc = rng.standard_normal((2, cfg.token_count, cfg.cond_dim)).astype(
+        np.float32)
+
+    def step(limit):
+        monkeypatch.setattr(ad, "_BLOCK_BYTES", limit)
+        params = dn.init_denoiser(cfg, np.random.default_rng(21),
+                                  dtype=np.float32)
+        loss = df.diffusion_loss(params, cfg, df.cosine_schedule(64), x0, zc,
+                                 np.array([0, 5]), np.random.default_rng(22))
+        loss.backward()
+        return loss.data, {k: p.grad for k, p in params.items()}
+
+    loss16, grads16 = step(16 << 20)
+    loss2, grads2 = step(2 << 20)
+    assert np.array_equal(bits(loss16), bits(loss2))
+    for k in grads16:
+        assert np.array_equal(bits(grads16[k]), bits(grads2[k])), k
+
+
 # ---------------------------------------------------------------------------
 # Strided sub-schedule
 # ---------------------------------------------------------------------------
@@ -251,14 +277,18 @@ def test_sampler_uses_conditioning():
 def _recording_reference_sample(params, cfg, sched, zc, domain_idx, rng,
                                 steps, shape):
     # The sampler loop with the parameters as given, so every denoiser call
-    # records its tape.
+    # records its tape. The network runs in the parameters' dtype, the chain
+    # in float64.
     tau = df.sample_timesteps(sched.T, steps)
     ab = sched.alpha_bar
     x = rng.standard_normal((len(domain_idx), dn.IN_CHANNELS) + shape)
+    net_dtype = params["stem.w"].dtype
+    zc = np.asarray(zc, dtype=net_dtype)
     for i in range(len(tau) - 1, 0, -1):
         t, tprev = tau[i], tau[i - 1]
-        eps_hat = dn.denoise(params, cfg, x, np.full(len(x), t), zc,
-                             domain_idx, t_max=sched.T).data
+        eps_hat = dn.denoise(params, cfg, x.astype(net_dtype),
+                             np.full(len(x), t), zc, domain_idx,
+                             t_max=sched.T).data
         alpha = ab[t] / ab[tprev]
         beta = 1.0 - alpha
         x0_hat = np.clip((x - np.sqrt(1.0 - ab[t]) * eps_hat) / np.sqrt(ab[t]),
@@ -287,6 +317,24 @@ def test_sampler_matches_recording_reference_loop(dtype):
     ref = _recording_reference_sample(params, cfg, sched, zc, dom,
                                       np.random.default_rng(14), 8, (8, 16))
     assert np.array_equal(out, ref)
+
+
+def test_sampler_runs_float32_network_in_float32(monkeypatch):
+    # A float32 model sees float32 inputs and prompt tokens at every step,
+    # while the chain it drives stays in float64.
+    cfg = dn.TINY_CONFIG
+    params = dn.init_denoiser(cfg, np.random.default_rng(19), dtype=np.float32)
+    inputs = []
+    shipped_denoise = dn.denoise
+
+    def denoise(params, config, x, t, zc, *args, **kwargs):
+        inputs.append((x.dtype, zc.dtype))
+        return shipped_denoise(params, config, x, t, zc, *args, **kwargs)
+
+    monkeypatch.setattr(dn, "denoise", denoise)
+    out = _sample(cfg, params, df.cosine_schedule(16), steps=4, seed=1)
+    assert inputs == [(np.float32, np.float32)] * 4
+    assert out.dtype == np.float64
 
 
 def test_sampler_records_no_tape_and_sets_no_grad(monkeypatch):
