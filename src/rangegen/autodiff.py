@@ -112,8 +112,8 @@ from .errors import ConfigError, NumericError, ShapeError
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        self.data = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad=False):
+        self.data = np.asarray(data)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = ()
@@ -449,8 +449,9 @@ def softmax(a, axis=-1):
     return mul(e, power(tsum(e, axis=axis, keepdims=True), -1.0))
 
 
-def layer_norm(x, gain, bias, eps=1e-5, axis=-1):
-    """Normalize over `axis`, then scale and shift by per-feature gain and bias.
+def layer_norm(x, gain, bias, axis=-1):
+    """Normalize over `axis` (variance floor 1e-5), then scale and shift by
+    per-feature gain and bias.
 
     One tape node with the closed-form backward (Ba et al. 2016): with
     d = gy * gain, dx = inv * (d - mean(d) - xhat * mean(d * xhat)).
@@ -464,7 +465,7 @@ def layer_norm(x, gain, bias, eps=1e-5, axis=-1):
     mean = x.data.mean(axis=axis, keepdims=True)
     xhat = x.data - mean
     inv = (xhat * xhat).mean(axis=axis, keepdims=True)
-    inv += eps
+    inv += 1e-5
     inv **= -0.5
     xhat *= inv
     data = xhat * g

@@ -86,18 +86,3 @@ def read_checkpoint(path):
         raise ConfigError(f"{path}: {len(raw) - off} bytes after the last buffer")
     return out, meta
 
-
-def check_meta_types(path, meta, ints=(), reals=()):
-    """Raise ConfigError unless each key of `ints` in `meta` holds a
-    non-negative integer and each key of `reals` a finite number."""
-    for key in ints:
-        value = meta[key]
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise ConfigError(f"{path}: metadata {key!r} must be a "
-                              f"non-negative integer, got {value!r}")
-    for key in reals:
-        value = meta[key]
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not math.isfinite(value)):
-            raise ConfigError(f"{path}: metadata {key!r} must be a finite "
-                              f"number, got {value!r}")

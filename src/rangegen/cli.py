@@ -142,12 +142,9 @@ def _coerce(key, value):
     return value
 
 
-def parse_config(path, overrides=None):
+def parse_config(path):
     """Read a key=value config file into a RunConfig; unknown keys fail.
-
-    `overrides` (already-typed values) take precedence over file values
-    and participate in toy-preset resolution.
-    """
+    A `toy = true` file takes the toy preset for every key it leaves unset."""
     values = {}
     for lineno, line in enumerate(forge.read_text_lines(path), 1):
         line = line.split("#", 1)[0].strip()
@@ -165,11 +162,6 @@ def parse_config(path, overrides=None):
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: config key {key!r}: "
                               f"bad value {raw!r} ({exc})") from None
-    if overrides:
-        for key, value in overrides.items():
-            if key not in _FIELD_TYPES:
-                raise ConfigError(f"unknown config key {key!r}")
-            values[key] = value
     if values.get("toy"):
         for key, preset in toy.TOY_PRESET.items():
             values.setdefault(key, preset)
@@ -256,7 +248,7 @@ def _base_corpora(cfg):
 # ---------------------------------------------------------------------------
 
 def cmd_build_data(args):
-    cfg = parse_config(args.config, {"toy": True} if args.toy else None)
+    cfg = parse_config(args.config)
     _check_toy_grid(cfg)
     base = _base_corpora(cfg)
     specs = domain_specs_from_config(cfg)
@@ -299,9 +291,11 @@ def cmd_train(args):
         lr=cfg.lr, weight_decay=cfg.weight_decay, sampler=cfg.sampler,
         out_dir=cfg.out_dir, ckpt_every=cfg.ckpt_every,
         resume_from=args.resume, grad_clip=cfg.grad_clip or None, log_fn=log)
+    # A resumed run keeps the seed of its checkpoint, as `train` does.
+    seed = read_checkpoint(args.resume)[1]["seed"] if args.resume else cfg.seed
     final = os.path.join(cfg.out_dir, "ckpt_final.olck")
     save_training_checkpoint(
-        final, params, opt, cfg.train_steps, cfg.seed,
+        final, params, opt, cfg.train_steps, seed,
         extra={key: getattr(cfg, key) for key in _CHECKPOINT_KEYS})
     print(f"final checkpoint: {final}")
     return 0
@@ -422,8 +416,6 @@ def build_parser():
 
     b = sub.add_parser("build-data", help="materialize the domain corpus")
     b.add_argument("--config", required=True)
-    b.add_argument("--toy", action="store_true",
-                   help="generate the synthetic two-domain corpus in-process")
     b.set_defaults(fn=cmd_build_data)
 
     t = sub.add_parser("train", help="train the denoiser")

@@ -326,7 +326,8 @@ def init_denoiser(config, rng, dtype=np.float64):
         "w": ad.fan_in_uniform(rng, (IN_CHANNELS, c1, 1, 1), c1),
         "b": ad.zeros_param((IN_CHANNELS,)),
     }
-    return {name: ad.Tensor(t.data, requires_grad=True, dtype=dtype)
+    return {name: ad.Tensor(t.data.astype(dtype, copy=False),
+                            requires_grad=True)
             for name, t in _flat("", p, {}).items()}
 
 

@@ -23,15 +23,17 @@ class NoiseSchedule:
         return 1.0 - ab[1:] / ab[:-1]
 
 
-def cosine_schedule(T, s=0.008, beta_clip=0.999):
-    """Squared-cosine cumulative schedule, normalized so alpha_bar[0] = 1."""
+def cosine_schedule(T):
+    """Squared-cosine cumulative schedule, normalized so alpha_bar[0] = 1,
+    with Nichol & Dhariwal's offset s = 0.008 and each beta capped at 0.999."""
     if T < 1:
         raise ConfigError(f"schedule needs T >= 1, got {T}")
+    s = 0.008
     t = np.arange(T + 1, dtype=np.float64)
     f = np.cos((t / T + s) / (1.0 + s) * np.pi / 2.0) ** 2
     ab = f / f[0]
     beta = 1.0 - ab[1:] / ab[:-1]
-    beta = np.minimum(beta, beta_clip)
+    beta = np.minimum(beta, 0.999)
     ab = np.concatenate([[1.0], np.cumprod(1.0 - beta)])
     return NoiseSchedule(ab)
 
@@ -77,8 +79,7 @@ def sample_timesteps(T, steps):
     return tau
 
 
-def ddpm_sample(params, config, schedule, zc, domain_idx, rng, steps=256,
-                shape=None, batch=1):
+def ddpm_sample(params, config, schedule, zc, domain_idx, rng, steps, shape):
     """Ancestral sampling from pure noise; output clamped to [-1, 1].
 
     Each step predicts x0_hat = (x_t - sqrt(1-ab_t) * eps_hat)/sqrt(ab_t),
@@ -87,11 +88,10 @@ def ddpm_sample(params, config, schedule, zc, domain_idx, rng, steps=256,
     with variance beta_tilde over a strided sub-schedule of `steps` steps,
     as the clipped sampler of Ho et al. 2020 does. The clip keeps an error
     in eps_hat near t = T, which x0_hat scales by sqrt((1-ab_t)/ab_t), from
-    driving the samples onto the bounds. Returns an array of shape
-    (batch, 2, H, W).
+    driving the samples onto the bounds. Draws one scan per entry of
+    `domain_idx` and returns an array of shape (len(domain_idx), 2, *shape).
     """
-    if shape is None:
-        raise ConfigError("sample shape (H, W) is required")
+    batch = len(domain_idx)
     H, W = shape
     tau = sample_timesteps(schedule.T, steps)
     ab = schedule.alpha_bar

@@ -128,8 +128,6 @@ def corrupt(img, spec, severity, rng):
     returns; wet_ground restricts dropout to ground returns. Surviving
     intensities inside the affected region are attenuated.
     """
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
     level = spec.severity_levels[severity]
     slope = float(level.get("dropout_slope", 0.0))
     atten = float(level.get("intensity_attenuation", 1.0))
@@ -178,17 +176,13 @@ def sample_prompt(spec, mode, rng=None):
 # Default domain table
 # ---------------------------------------------------------------------------
 
-def _levels(*dicts):
-    return tuple(dicts)
-
-
 DEFAULT_SEVERITIES = {
-    "fog": _levels(
+    "fog": (
         {"dropout_slope": 0.004, "scatter_count": 0, "intensity_attenuation": 0.9},
         {"dropout_slope": 0.008, "scatter_count": 0, "intensity_attenuation": 0.8},
         {"dropout_slope": 0.016, "scatter_count": 0, "intensity_attenuation": 0.7},
     ),
-    "snow": _levels(
+    "snow": (
         {"dropout_slope": 0.002, "scatter_count": 100, "scatter_range": 8.0,
          "intensity_attenuation": 0.9},
         {"dropout_slope": 0.005, "scatter_count": 300, "scatter_range": 10.0,
@@ -196,12 +190,12 @@ DEFAULT_SEVERITIES = {
         {"dropout_slope": 0.010, "scatter_count": 600, "scatter_range": 12.0,
          "intensity_attenuation": 0.7},
     ),
-    "rain": _levels(
+    "rain": (
         {"dropout_slope": 0.002, "scatter_count": 0, "intensity_attenuation": 0.95},
         {"dropout_slope": 0.004, "scatter_count": 0, "intensity_attenuation": 0.90},
         {"dropout_slope": 0.008, "scatter_count": 0, "intensity_attenuation": 0.85},
     ),
-    "wet_ground": _levels(
+    "wet_ground": (
         {"dropout_slope": 0.010, "scatter_count": 0, "intensity_attenuation": 0.85},
         {"dropout_slope": 0.020, "scatter_count": 0, "intensity_attenuation": 0.75},
         {"dropout_slope": 0.040, "scatter_count": 0, "intensity_attenuation": 0.60},
@@ -351,6 +345,26 @@ def scan_rng(seed, domain_id, scan_path):
     return np.random.default_rng(np.random.SeedSequence([int(seed)] + words))
 
 
+def _sensor_mismatch(scan, configured):
+    """Why a scan taken by sensor `scan` does not fit a domain of sensor
+    `configured`, or None. The FOV and r_max compare at float32, the
+    precision of the OLRI header they are read from."""
+    if (scan.height, scan.width) != (configured.height, configured.width):
+        return (f"{scan.height}x{scan.width} scan, the configured grid is "
+                f"{configured.height}x{configured.width}")
+
+    have, want = (np.float32([c.f_up, c.f_down, c.r_max])
+                  for c in (scan, configured))
+    if np.array_equal(have, want):
+        return None
+
+    def text(cfg):
+        return (f"FOV {math.degrees(cfg.f_up):.6g}/"
+                f"{math.degrees(cfg.f_down):.6g} deg, r_max {cfg.r_max:.6g} m")
+
+    return f"scan with {text(scan)}, the configured sensor has {text(configured)}"
+
+
 def build_dataset(base, specs, out_dir, seed):
     """Materialize every domain from the base corpora.
 
@@ -368,17 +382,15 @@ def build_dataset(base, specs, out_dir, seed):
             )
         dom_dir = os.path.join(out_dir, spec.id)
         os.makedirs(dom_dir, exist_ok=True)
-        grid = (spec.sensor.height, spec.sensor.width)
         for path, split in base[spec.base_key]:
             try:
                 img = read_olri(path)
             except (OSError, ConfigError) as exc:
                 summary["skipped"].append((spec.id, path, str(exc)))
                 continue
-            if (img.config.height, img.config.width) != grid:
-                summary["skipped"].append((
-                    spec.id, path, f"{img.config.height}x{img.config.width} "
-                    f"scan, the configured grid is {grid[0]}x{grid[1]}"))
+            reason = _sensor_mismatch(img.config, spec.sensor)
+            if reason:
+                summary["skipped"].append((spec.id, path, reason))
                 continue
             rng = scan_rng(seed, spec.id, os.path.basename(path))
             if spec.corruption is not None:

@@ -91,19 +91,8 @@ class RangeImage:
 # Projection
 # ---------------------------------------------------------------------------
 
-def project_point(p, cfg):
-    """Project one 3D point; returns continuous (u, v) and range r."""
-    p = np.asarray(p, dtype=np.float64)
-    r = float(np.linalg.norm(p))
-    if r == 0.0:
-        raise ValueError("cannot project a zero-norm point")
-    u = 0.5 * (1.0 - math.atan2(p[1], p[0]) / math.pi) * cfg.width
-    v = (cfg.f_up - math.asin(p[2] / r)) / cfg.fov * cfg.height
-    return u, v, r
-
-
 def project_points(points, cfg):
-    """Vectorized projection; returns (u, v, r) arrays of continuous coords."""
+    """Project N x 3 points; returns (u, v, r) arrays of continuous coords."""
     points = np.asarray(points, dtype=np.float64)
     r = np.linalg.norm(points, axis=1)
     safe_r = np.where(r > 0, r, 1.0)

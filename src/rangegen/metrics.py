@@ -122,7 +122,7 @@ def mmd(set_a, set_b, bandwidth=None):
 UNAVAILABLE_METRICS = ("FRD", "FRID", "FSVD", "FPVD", "FPD")
 
 
-def metric_report(set_a, set_b, bandwidth=None):
+def metric_report(set_a, set_b):
     """JSD/MMD report between a generated set and a reference set.
 
     The set-level histogram for JSD is the normalized mean of the
@@ -134,7 +134,7 @@ def metric_report(set_a, set_b, bandwidth=None):
     mean_b = OccupancyHistogram(
         np.mean([h.counts for h in set_b], axis=0), empty=False)
     jsd_value = jsd(mean_a, mean_b)
-    mmd_value, bw = mmd(set_a, set_b, bandwidth)
+    mmd_value, bw = mmd(set_a, set_b)
     lines = [
         f"set_a_size = {len(set_a)}",
         f"set_b_size = {len(set_b)}",

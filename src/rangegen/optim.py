@@ -4,6 +4,9 @@ import numpy as np
 
 from .errors import TrainingError
 
+# Moment decay rates and the denominator's floor of Kingma & Ba 2015.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class AdamW:
     """Per-parameter moment tracking keyed by parameter name.
@@ -12,10 +15,8 @@ class AdamW:
     adaptive update (decoupled form); moments are bias-corrected.
     """
 
-    def __init__(self, lr=1e-4, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
+    def __init__(self, lr=1e-4, weight_decay=0.0):
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self.m = {}
@@ -32,7 +33,7 @@ class AdamW:
                 raise TrainingError(f"non-finite gradient for parameter {name!r}")
         self.step_count += 1
         t = self.step_count
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         for name, p in params.items():
             g = p.grad
             if g is None:
@@ -50,7 +51,7 @@ class AdamW:
                 p.data *= 1.0 - self.lr * self.weight_decay
             mhat = m / (1.0 - b1**t)
             vhat = v / (1.0 - b2**t)
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            p.data -= self.lr * mhat / (np.sqrt(vhat) + EPS)
 
     def zero_grad(self, params):
         for p in params.values():

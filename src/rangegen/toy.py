@@ -62,11 +62,12 @@ def _toy_scan(rng, lo, hi, cfg):
     return RangeImage(rng_img, inten, valid, cfg)
 
 
-def make_toy_corpus(out_dir, n_per_domain=48, seed=0, val_fraction=0.15):
-    """Write base OLRI scans; returns {base_key: [(path, split), ...]}."""
+def make_toy_corpus(out_dir, n_per_domain=48, seed=0):
+    """Write base OLRI scans, the last 15% of each domain (at least one)
+    in the val split; returns {base_key: [(path, split), ...]}."""
     cfg = TOY_SENSOR
     base = {}
-    n_val = max(1, int(round(n_per_domain * val_fraction)))
+    n_val = max(1, int(round(n_per_domain * 0.15)))
     for dom_i, (dom, (lo, hi)) in enumerate(TOY_RANGES.items()):
         key = dom.lower()
         dom_dir = os.path.join(out_dir, "base", key)

@@ -7,12 +7,14 @@ of (index, batch size, seed, step), which also makes resumption
 bit-identical: all randomness is keyed by (seed, step).
 """
 
+import itertools
+import math
 import os
 
 import numpy as np
 
 from . import conditioning, diffusion
-from .checkpoint import check_meta_types, read_checkpoint, write_checkpoint
+from .checkpoint import read_checkpoint, write_checkpoint
 from .errors import ConfigError, TrainingError
 from .forge import sample_prompt
 from .geometry import normalize, read_olri
@@ -24,50 +26,40 @@ def _step_rng(seed, step, stream):
                                                          int(stream)]))
 
 
-def cdts_batches(index, specs, batch_size, seed, start_step=0):
-    """Mixed-domain batch plans: records i.i.d. uniform over the pooled
-    train split, prompts drawn per record from the domain pool."""
+def _batch_plans(index, specs, batch_size, seed, start_step, by_domain):
+    """The step loop of both samplers. Each step's rng picks a domain when
+    `by_domain` (uniformly, in sorted order), then `batch_size` records
+    uniformly from that domain's train split, or from the whole split,
+    then one prompt per record from its domain's pool."""
     if batch_size < 1:
         raise ConfigError("batch size must be >= 1")
     train = index.split("train")
     if not train:
         raise ConfigError("empty train split")
+    if by_domain:
+        by_dom = {}
+        for rec in train:
+            by_dom.setdefault(rec[1], []).append(rec)
+        pools = [by_dom[dom] for dom in sorted(by_dom)]
     by_id = {s.id: s for s in specs}
-    step = start_step
-    while True:
+    for step in itertools.count(start_step):
         rng = _step_rng(seed, step, 0)
-        picks = rng.integers(0, len(train), size=batch_size)
-        plan = []
-        for i in picks:
-            rel, dom, _ = train[i]
-            plan.append((rel, dom, sample_prompt(by_id[dom], "train", rng)))
-        yield plan
-        step += 1
+        recs = pools[int(rng.integers(len(pools)))] if by_domain else train
+        picks = [recs[i] for i in rng.integers(0, len(recs), size=batch_size)]
+        yield [(rel, dom, sample_prompt(by_id[dom], "train", rng))
+               for rel, dom, _ in picks]
+
+
+def cdts_batches(index, specs, batch_size, seed, start_step=0):
+    """Mixed-domain batch plans: records i.i.d. uniform over the pooled
+    train split, prompts drawn per record from the domain pool."""
+    yield from _batch_plans(index, specs, batch_size, seed, start_step, False)
 
 
 def homogeneous_batches(index, specs, batch_size, seed, start_step=0):
     """Single-domain batch plans: a uniform domain pick, then records
     uniform within that domain's train split."""
-    if batch_size < 1:
-        raise ConfigError("batch size must be >= 1")
-    train = index.split("train")
-    if not train:
-        raise ConfigError("empty train split")
-    by_dom = {}
-    for rec in train:
-        by_dom.setdefault(rec[1], []).append(rec)
-    domains = sorted(by_dom)
-    by_id = {s.id: s for s in specs}
-    step = start_step
-    while True:
-        rng = _step_rng(seed, step, 0)
-        dom = domains[int(rng.integers(len(domains)))]
-        recs = by_dom[dom]
-        picks = rng.integers(0, len(recs), size=batch_size)
-        plan = [(recs[i][0], dom, sample_prompt(by_id[dom], "train", rng))
-                for i in picks]
-        yield plan
-        step += 1
+    yield from _batch_plans(index, specs, batch_size, seed, start_step, True)
 
 
 SAMPLERS = {"cdts": cdts_batches, "homogeneous": homogeneous_batches}
@@ -133,8 +125,14 @@ def load_training_checkpoint(path, params, opt):
     missing = {"step", "seed", "opt_step", "lr", "weight_decay"} - meta.keys()
     if missing:
         raise ConfigError(f"checkpoint {path} metadata lacks {sorted(missing)}")
-    check_meta_types(path, meta, ints=("step", "seed", "opt_step"),
-                     reals=("lr", "weight_decay"))
+    for key in ("step", "seed", "opt_step", "lr", "weight_decay"):
+        value, real = meta[key], key in ("lr", "weight_decay")
+        if (isinstance(value, bool)
+                or not isinstance(value, (int, float) if real else int)
+                or not value >= 0 or value == math.inf):
+            raise ConfigError(
+                f"{path}: metadata {key!r} must be a non-negative "
+                f"{'finite number' if real else 'integer'}, got {value!r}")
     _load_params(path, buffers, params)
     opt.load_state_buffers(buffers, meta["opt_step"])
     opt.lr = meta["lr"]

@@ -172,7 +172,7 @@ def test_layer_norm_channel_axis_grads(seed):
         [x, g, b], tol=1e-5)
 
 
-def _composed_layer_norm(x, gain, bias, eps, axis):
+def _composed_layer_norm(x, gain, bias, axis, eps=1e-5):
     """Layer norm built primitive by primitive: the reference for the fused op."""
     shape = [1] * x.data.ndim
     shape[axis] = x.data.shape[axis]
@@ -194,7 +194,7 @@ def test_layer_norm_matches_composed_formula(axis, shape):
     grads = []
     for fn in (ad.layer_norm, _composed_layer_norm):
         ts = [ad.Tensor(a, requires_grad=True) for a in (x, g, b)]
-        out = fn(*ts, 1e-5, axis)
+        out = fn(*ts, axis=axis)
         ad.tsum(ad.mul(out, weight)).backward()
         grads.append((out.data, *[t.grad for t in ts]))
     for fused, composed in zip(*grads):
@@ -644,9 +644,11 @@ def test_adamw_zero_grad_no_decay_leaves_params():
 def test_adamw_single_step_closed_form():
     p = ad.Tensor(np.array([0.0]), requires_grad=True)
     p.grad = np.array([1.0])
-    opt = AdamW(lr=0.1, betas=(0.0, 0.0), eps=1e-8)
+    opt = AdamW(lr=0.1)
     opt.step({"p": p})
-    # m = v = 1 after bias correction; update = lr * 1 / (1 + eps)
+    # At step 1 bias correction divides m = (1 - beta1) * g and
+    # v = (1 - beta2) * g^2 by exactly those factors, so m_hat = g = 1 and
+    # v_hat = g^2 = 1; update = lr * 1 / (1 + eps)
     np.testing.assert_allclose(p.data, [-0.1 / (1.0 + 1e-8)], rtol=1e-12)
 
 

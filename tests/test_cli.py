@@ -1,5 +1,6 @@
 """Command-line contract tests over the synthetic two-domain corpus."""
 
+import argparse
 import dataclasses
 import os
 import re
@@ -226,6 +227,28 @@ def test_train_resume_below_checkpoint_step_exits_1(trained, tmp_path,
     assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
 
+def test_resumed_run_final_checkpoint_keeps_its_seed(trained, tmp_path):
+    # The seed-7 run resumed at step 3 under a seed-0 config continues with
+    # seed 7, and so must its final checkpoint: training on from it and from
+    # the step-6 checkpoint gives the same losses.
+    src_tmp, _ = trained
+    data = str(src_tmp / "data")
+    cfg = _write_config(tmp_path, seed=0, data_dir=data)
+    assert cli.main(["train", "--config", cfg, "--resume",
+                     str(src_tmp / "run" / "ckpt_0000003.olck")]) == 0
+    final = tmp_path / "run" / "ckpt_final.olck"
+    assert read_checkpoint(final)[1]["seed"] == 7
+    traces = []
+    for name in ("ckpt_0000006.olck", "ckpt_final.olck"):
+        work = tmp_path / name
+        work.mkdir()
+        cont = _write_config(work, seed=0, data_dir=data)
+        assert cli.main(["train", "--config", cont, "--steps", "8",
+                         "--resume", str(tmp_path / "run" / name)]) == 0
+        traces.append((work / "run" / "loss.csv").read_text())
+    assert traces[0] == traces[1] and traces[0].count("\n") == 3
+
+
 @pytest.mark.parametrize("command", ["build-data", "train"])
 def test_toy_config_with_another_grid_exits_1(trained, tmp_path, capsys,
                                               command):
@@ -438,6 +461,21 @@ def test_malformed_command_line_exits_1(capsys, argv):
     assert captured.err.count("\n") == 1 and not captured.out
 
 
+def test_readme_synopsis_names_every_flag():
+    # Each command's flags all appear on the README lines that run it.
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir,
+                               "README.md"), encoding="utf-8").read()
+    lines = readme.replace("\\\n", " ").splitlines()
+    commands = next(action for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    for name, parser in commands.choices.items():
+        shown = {flag for line in lines if f"rangegen {name} " in line
+                 for flag in re.findall(r"--[a-z-]+", line)}
+        flags = {flag for action in parser._actions
+                 for flag in action.option_strings} - {"-h", "--help"}
+        assert flags <= shown, (name, sorted(flags - shown))
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])
@@ -453,7 +491,9 @@ _BAD_META = {
     "seed_float": ("train", "seed", 1.5),
     "opt_step_bool": ("train", "opt_step", True),
     "lr_str": ("train", "lr", "fast"),
+    "lr_negative": ("train", "lr", -0.5),
     "weight_decay_nan": ("train", "weight_decay", float("nan")),
+    "weight_decay_negative": ("train", "weight_decay", -3.0),
     "schedule_t_str": ("sample", "schedule_t", "64"),
     "image_height_float": ("sample", "image_height", 16.0),
     "fov_up_inf": ("sample", "fov_up_deg", float("inf")),

@@ -205,7 +205,7 @@ def _sample(cfg, params, sched, steps, seed, batch=1):
     rng = np.random.default_rng(seed)
     zc = np.zeros((batch, cfg.token_count, cfg.cond_dim))
     return df.ddpm_sample(params, cfg, sched, zc, np.zeros(batch, np.int64),
-                          rng, steps=steps, shape=(8, 16), batch=batch)
+                          rng, steps=steps, shape=(8, 16))
 
 
 def test_sampler_output_shape_and_range():
@@ -215,6 +215,21 @@ def test_sampler_output_shape_and_range():
     out = _sample(cfg, params, sched, steps=8, seed=0, batch=2)
     assert out.shape == (2, 2, 8, 16)
     assert np.all(out >= -1.0) and np.all(out <= 1.0)
+
+
+def test_sampler_batch_follows_domain_idx():
+    # One scan per domain index, the noise drawn at that batch size.
+    cfg = dn.TINY_CONFIG
+    params = dn.init_denoiser(cfg, np.random.default_rng(20))
+    sched = df.cosine_schedule(16)
+    dom = np.array([1, 0, 1])
+    zc = np.zeros((3, cfg.token_count, cfg.cond_dim))
+    out = df.ddpm_sample(params, cfg, sched, zc, dom,
+                         np.random.default_rng(21), steps=2, shape=(8, 16))
+    assert out.shape == (3, 2, 8, 16)
+    ref = _recording_reference_sample(params, cfg, sched, zc, dom,
+                                      np.random.default_rng(21), 2, (8, 16))
+    assert np.array_equal(out, ref)
 
 
 def test_sampler_bit_reproducible():
@@ -312,8 +327,7 @@ def test_sampler_matches_recording_reference_loop(dtype):
         (2, cfg.token_count, cfg.cond_dim)).astype(dtype)
     dom = np.array([0, 1])
     out = df.ddpm_sample(params, cfg, sched, zc, dom,
-                         np.random.default_rng(14), steps=8, shape=(8, 16),
-                         batch=2)
+                         np.random.default_rng(14), steps=8, shape=(8, 16))
     ref = _recording_reference_sample(params, cfg, sched, zc, dom,
                                       np.random.default_rng(14), 8, (8, 16))
     assert np.array_equal(out, ref)

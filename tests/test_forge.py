@@ -400,6 +400,34 @@ def test_build_dataset_skips_scans_off_the_configured_grid(tmp_path):
         assert img.config.height == (8 if dom == "Beam32" else 16)
 
 
+def test_build_dataset_skips_scans_off_the_configured_sensor(tmp_path):
+    # On the grid, but with another FOV edge or r_max: `sample` denormalizes
+    # with the configured sensor, which would misplace every return. The
+    # header stores float32, so the kept scans compare equal only there.
+    rng = np.random.default_rng(17)
+    entries = []
+    for i, (up, down, r_max) in enumerate([
+            (3.0, -25.0, 80.0), (10.0, -25.0, 80.0), (3.0, -20.0, 80.0),
+            (3.0, -25.0, 200.0), (3.0, -25.0, 80.0)]):
+        path = str(tmp_path / f"scan_{i}.olri")
+        cfg = geo.SensorConfig(16, 64, math.radians(up), math.radians(down),
+                               r_max)
+        geo.write_olri(path, random_image(rng, cfg))
+        entries.append((path, "train"))
+    spec = forge.DomainSpec(id="Vehicle", prompt_pool=("p",), sensor=CFG)
+    index, summary = forge.build_dataset({"vehicle": entries}, [spec],
+                                         str(tmp_path / "out"), 0)
+    assert summary["counts"] == {"Vehicle": 2}
+    assert [path for _, path, _ in summary["skipped"]] == [
+        path for path, _ in entries[1:4]]
+    reasons = [reason for _, _, reason in summary["skipped"]]
+    assert "FOV 10/-25 deg, r_max 80 m" in reasons[0]
+    assert "FOV 3/-20 deg, r_max 80 m" in reasons[1]
+    assert "FOV 3/-25 deg, r_max 200 m" in reasons[2]
+    assert all(reason.endswith("the configured sensor has FOV 3/-25 deg, "
+                               "r_max 80 m") for reason in reasons)
+
+
 def test_build_dataset_all_scans_off_grid_counts_zero(tmp_path):
     rng = np.random.default_rng(16)
     base = _grid_corpus(tmp_path, rng, [(8, 64), (8, 64)])
