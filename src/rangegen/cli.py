@@ -74,6 +74,16 @@ class RunConfig:
                 raise ConfigError(
                     f"config key {key!r} must name stages 1..{len(self.widths)}"
                     f" of widths {list(self.widths)}, got {list(stages)}")
+        if not self.out_dir:
+            raise ConfigError("config key 'out_dir' must name a directory")
+        # Each stage but the last halves the grid.
+        depth = 2 ** (len(self.widths) - 1)
+        for key in ("image_height", "image_width"):
+            if getattr(self, key) % depth:
+                raise ConfigError(
+                    f"config key {key!r} must be divisible by {depth} for the "
+                    f"{len(self.widths)} stages of widths {list(self.widths)},"
+                    f" got {getattr(self, key)}")
         # The sensor and the denoiser check how values fit together: the
         # FOV order, r_max > 0, the grid size and the widths per group.
         sensor_from_config(self)
@@ -216,16 +226,19 @@ def _read_base_index(path):
     return entries
 
 
-def _check_toy_grid(cfg):
-    """A toy corpus is always TOY_SENSOR's grid, so a toy config that names
-    another would train on one grid and store the other in its checkpoint.
-    `sample` may parse such a config: it takes the grid from the checkpoint."""
-    grid = (toy.TOY_SENSOR.height, toy.TOY_SENSOR.width)
-    if cfg.toy and (cfg.image_height, cfg.image_width) != grid:
+def _check_toy_sensor(cfg):
+    """A toy corpus is always taken by TOY_SENSOR, so a toy config that names
+    another sensor would train on one and store the other in its checkpoint.
+    `sample` may parse such a config: it takes the sensor from the
+    checkpoint."""
+    if not cfg.toy:
+        return
+    reason = forge._sensor_mismatch(toy.TOY_SENSOR, sensor_from_config(cfg))
+    if reason:
         raise ConfigError(
-            f"a toy = true config needs image_height = {grid[0]} and "
-            f"image_width = {grid[1]}, got {cfg.image_height} and "
-            f"{cfg.image_width}")
+            "a toy = true config needs the toy sensor's image_height, "
+            "image_width, fov_up_deg, fov_down_deg and r_max: the toy corpus "
+            f"holds a {reason}")
 
 
 def _base_corpora(cfg):
@@ -249,7 +262,7 @@ def _base_corpora(cfg):
 
 def cmd_build_data(args):
     cfg = parse_config(args.config)
-    _check_toy_grid(cfg)
+    _check_toy_sensor(cfg)
     base = _base_corpora(cfg)
     specs = domain_specs_from_config(cfg)
     index, summary = forge.build_dataset(base, specs, cfg.data_dir, cfg.seed)
@@ -270,7 +283,7 @@ def cmd_train(args):
         cfg = dataclasses.replace(cfg, sampler=args.sampler)
     if args.steps is not None:
         cfg = dataclasses.replace(cfg, train_steps=args.steps)
-    _check_toy_grid(cfg)
+    _check_toy_sensor(cfg)
     specs = domain_specs_from_config(cfg)
     index_path = os.path.join(cfg.data_dir, "index.tsv")
     if not os.path.exists(index_path):

@@ -51,11 +51,6 @@ class DenoiserConfig:
 # Range and intensity, as geometry.normalize stacks them.
 IN_CHANNELS = 2
 
-TINY_CONFIG = DenoiserConfig(
-    widths=(4, 8), attn_stages=(2,), cdfm_stages=(2,), groups=4,
-    time_width=8, cond_dim=8, dk=4, token_count=4, num_domains=2,
-)
-
 
 # ---------------------------------------------------------------------------
 # Timestep embedding

@@ -6,7 +6,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import denoiser as dn
-from .errors import ConfigError, TrainingError
+from .errors import ConfigError, ShapeError, TrainingError
 
 
 @dataclass(frozen=True)
@@ -16,11 +16,6 @@ class NoiseSchedule:
     @property
     def T(self):
         return len(self.alpha_bar) - 1
-
-    @property
-    def betas(self):
-        ab = self.alpha_bar
-        return 1.0 - ab[1:] / ab[:-1]
 
 
 def cosine_schedule(T):
@@ -89,9 +84,13 @@ def ddpm_sample(params, config, schedule, zc, domain_idx, rng, steps, shape):
     as the clipped sampler of Ho et al. 2020 does. The clip keeps an error
     in eps_hat near t = T, which x0_hat scales by sqrt((1-ab_t)/ab_t), from
     driving the samples onto the bounds. Draws one scan per entry of
-    `domain_idx` and returns an array of shape (len(domain_idx), 2, *shape).
+    `domain_idx`, under one prompt `zc` for all or one per entry, and
+    returns an array of shape (len(domain_idx), 2, *shape).
     """
     batch = len(domain_idx)
+    if np.shape(zc)[0] not in (1, batch):
+        raise ShapeError(f"{np.shape(zc)[0]} prompts for {batch} domain "
+                         "indices: give one prompt, or one per index")
     H, W = shape
     tau = sample_timesteps(schedule.T, steps)
     ab = schedule.alpha_bar

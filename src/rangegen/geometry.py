@@ -118,25 +118,18 @@ def pixel_angles(cfg):
     return azimuth, elevation
 
 
-def rasterize(pc, cfg, return_stats=False):
+def rasterize(pc, cfg):
     """Nearest-return rasterization; range ties go to the lower point index.
 
     Out-of-FOV (elevation outside [f_down, f_up]) and out-of-range
-    (r > r_max or r == 0) points are dropped and counted.
+    (r > r_max or r == 0) points are dropped.
     """
     u, v, r = project_points(pc.points, cfg)
     nonzero = r > 0
     safe_r = np.where(nonzero, r, 1.0)
     elev = np.arcsin(np.clip(pc.points[:, 2] / safe_r, -1.0, 1.0))
-    in_fov = nonzero & (elev >= cfg.f_down) & (elev <= cfg.f_up)
-    in_range = r <= cfg.r_max
-    keep = in_fov & in_range
-    stats = {
-        "total": int(len(pc)),
-        "dropped_fov": int(np.count_nonzero(nonzero & ~in_fov) +
-                           np.count_nonzero(~nonzero)),
-        "dropped_range": int(np.count_nonzero(in_fov & ~in_range)),
-    }
+    keep = (nonzero & (elev >= cfg.f_down) & (elev <= cfg.f_up)
+            & (r <= cfg.r_max))
     idx = np.nonzero(keep)[0]
     ui, vi = discretize(u[idx], v[idx], cfg)
     best_r, best_i = backend.rasterize_points(
@@ -146,8 +139,7 @@ def rasterize(pc, cfg, return_stats=False):
     rng = np.where(valid, best_r, 0.0).astype(np.float32)
     inten = np.zeros((cfg.height, cfg.width), dtype=np.float32)
     inten[valid] = pc.intensity[idx[best_i[valid]]]
-    img = RangeImage(rng, inten, valid, cfg)
-    return (img, stats) if return_stats else img
+    return RangeImage(rng, inten, valid, cfg)
 
 
 def unproject(img):
@@ -175,31 +167,28 @@ def unproject(img):
 # Normalization to [-1, 1] for diffusion
 # ---------------------------------------------------------------------------
 
-def normalize(img, return_clipped=False):
+def normalize(img):
     """Map a RangeImage to a 2 x H x W array in [-1, 1].
 
     Range channel: 2*log(1+r)/log(1+r_max) - 1 (monotone, invertible,
     endpoint-exact); intensity channel: 2*i - 1. Invalid pixels map to
-    -1 on both channels. Ranges above r_max are clipped and counted.
+    -1 on both channels. Ranges above r_max are clipped.
     """
     cfg = img.config
-    r = img.range.astype(np.float64)
-    clipped = int(np.count_nonzero(img.valid & (r > cfg.r_max)))
-    r = np.minimum(r, cfg.r_max)
+    r = np.minimum(img.range.astype(np.float64), cfg.r_max)
     xr = 2.0 * np.log1p(r) / np.log1p(cfg.r_max) - 1.0
     xi = 2.0 * img.intensity.astype(np.float64) - 1.0
-    out = np.stack([np.where(img.valid, xr, -1.0), np.where(img.valid, xi, -1.0)])
-    return (out, clipped) if return_clipped else out
+    return np.stack([np.where(img.valid, xr, -1.0),
+                     np.where(img.valid, xi, -1.0)])
 
 
-def denormalize(arr, cfg, valid=None):
-    """Invert `normalize`. Without an explicit mask, pixels whose range
-    channel sits at the lower bound are treated as invalid."""
+def denormalize(arr, cfg):
+    """Invert `normalize`. Pixels whose range channel sits at the lower
+    bound are invalid."""
     arr = np.asarray(arr, dtype=np.float64)
     if arr.shape != (2, cfg.height, cfg.width):
         raise ConfigError(f"expected (2,{cfg.height},{cfg.width}), got {arr.shape}")
-    if valid is None:
-        valid = arr[0] > -1.0 + 1e-9
+    valid = arr[0] > -1.0 + 1e-9
     r = np.expm1((arr[0] + 1.0) / 2.0 * np.log1p(cfg.r_max))
     r = np.clip(r, 0.0, cfg.r_max)
     inten = np.clip((arr[1] + 1.0) / 2.0, 0.0, 1.0)
@@ -254,11 +243,3 @@ def write_xyz(path, pc):
         for p, i in zip(pc.points, pc.intensity):
             f.write(f"{p[0]:.9g} {p[1]:.9g} {p[2]:.9g} {i:.9g}\n")
 
-
-def read_xyz(path):
-    data = np.loadtxt(path, dtype=np.float64, ndmin=2)
-    if data.size == 0:
-        return PointCloud(np.zeros((0, 3)), np.zeros(0))
-    if data.shape[1] != 4:
-        raise ConfigError(f"{path}: expected 4 columns, got {data.shape[1]}")
-    return PointCloud(data[:, :3], data[:, 3])

@@ -15,7 +15,7 @@ class AdamW:
     adaptive update (decoupled form); moments are bias-corrected.
     """
 
-    def __init__(self, lr=1e-4, weight_decay=0.0):
+    def __init__(self, lr, weight_decay):
         self.lr = lr
         self.weight_decay = weight_decay
         self.step_count = 0

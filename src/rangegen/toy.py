@@ -62,7 +62,7 @@ def _toy_scan(rng, lo, hi, cfg):
     return RangeImage(rng_img, inten, valid, cfg)
 
 
-def make_toy_corpus(out_dir, n_per_domain=48, seed=0):
+def make_toy_corpus(out_dir, n_per_domain, seed):
     """Write base OLRI scans, the last 15% of each domain (at least one)
     in the val split; returns {base_key: [(path, split), ...]}."""
     cfg = TOY_SENSOR

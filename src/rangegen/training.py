@@ -167,14 +167,14 @@ def _trim_trace(path, step):
 
 
 def train(params, config, schedule, data_dir, index, specs, steps, seed,
-          batch_size=16, lr=1e-4, weight_decay=0.0, sampler="cdts",
-          out_dir=None, ckpt_every=100, resume_from=None, grad_clip=None,
-          log_every=50, log_fn=None):
+          batch_size, lr, weight_decay, sampler, out_dir, ckpt_every,
+          resume_from=None, grad_clip=None, log_every=50, log_fn=None):
     """Run the diffusion training loop; returns (optimizer, loss trace).
 
-    The trace is a list of (step, loss). Checkpoints are written every
-    `ckpt_every` steps to out_dir; resuming from one continues the loss
-    trace bit-identically because all RNG streams are keyed by step.
+    The trace is a list of (step, loss), also written to out_dir/loss.csv.
+    Checkpoints are written every `ckpt_every` steps to out_dir; resuming
+    from one continues the loss trace bit-identically because all RNG
+    streams are keyed by step.
     """
     if sampler not in SAMPLERS:
         raise ConfigError(f"unknown sampler {sampler!r}")
@@ -197,18 +197,15 @@ def train(params, config, schedule, data_dir, index, specs, steps, seed,
     batches = SAMPLERS[sampler](index, specs, batch_size, seed,
                                 start_step=start_step)
     trace = []
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        trace_path = os.path.join(out_dir, "loss.csv")
-        if resume_from is not None and os.path.exists(trace_path):
-            _trim_trace(trace_path, start_step)
-            trace_f = open(trace_path, "a", newline="\n")
-        else:
-            trace_f = open(trace_path, "w", newline="\n")
-            trace_f.write(_TRACE_HEADER)
+    os.makedirs(out_dir, exist_ok=True)
+    trace_path = os.path.join(out_dir, "loss.csv")
+    if resume_from is not None and os.path.exists(trace_path):
+        _trim_trace(trace_path, start_step)
+        trace_f = open(trace_path, "a", newline="\n")
     else:
-        trace_f = None
-    try:
+        trace_f = open(trace_path, "w", newline="\n")
+        trace_f.write(_TRACE_HEADER)
+    with trace_f:
         for step in range(start_step, steps):
             plan = next(batches)
             x0, zc, dom = assemble_batch(plan, cache, dom_to_idx)
@@ -227,20 +224,16 @@ def train(params, config, schedule, data_dir, index, specs, steps, seed,
             opt.step(params)
             value = float(loss.data)
             trace.append((step, value))
-            if trace_f:
-                trace_f.write(f"{step},{value:.8e}\n")
+            trace_f.write(f"{step},{value:.8e}\n")
             if log_fn and (step % log_every == 0 or step == steps - 1):
                 log_fn(step, value)
-            if out_dir and ((step + 1) % ckpt_every == 0 or step == steps - 1):
+            if (step + 1) % ckpt_every == 0 or step == steps - 1:
                 save_training_checkpoint(
                     os.path.join(out_dir, f"ckpt_{step + 1:07d}.olck"),
                     params, opt, step + 1, seed)
             # Drop this step's tape before the next forward pass builds one,
             # so two graphs never share the memory peak.
             del loss
-    finally:
-        if trace_f:
-            trace_f.close()
     return opt, trace
 
 

@@ -10,6 +10,12 @@ from rangegen import denoiser as dn
 TOY_DENOISER_CONFIG = cli.denoiser_config_from(
     cli.RunConfig(toy=True, **toy.TOY_PRESET), len(toy.toy_domain_specs()))
 
+# A smaller denoiser still, for unit tests of the network and the sampler.
+TINY_CONFIG = dn.DenoiserConfig(
+    widths=(4, 8), attn_stages=(2,), cdfm_stages=(2,), groups=4,
+    time_width=8, cond_dim=8, dk=4, token_count=4, num_domains=2,
+)
+
 
 def rel_err(approx, exact):
     """Relative error in the 2-norm, guarded against a zero reference."""

@@ -165,7 +165,9 @@ def test_criterion_7_conditional_control(capsys, tmp_path):
 
         _, trace = training.train(params, cfg, schedule, data_dir, index,
                                   specs, steps=1500, seed=0, batch_size=8,
-                                  lr=1e-3)
+                                  lr=1e-3, weight_decay=0.0, sampler="cdts",
+                                  out_dir=str(tmp_path / "run"),
+                                  ckpt_every=1500)
         losses = [v for _, v in trace]
         initial = float(np.mean(losses[:50]))
         final = float(np.mean(losses[-50:]))

@@ -637,14 +637,14 @@ def test_composite_chain_rule_matches_manual_composition():
 def test_adamw_zero_grad_no_decay_leaves_params():
     p = ad.Tensor(np.array([1.5, -2.0]), requires_grad=True)
     p.grad = np.zeros(2)
-    AdamW(lr=0.1).step({"p": p})
+    AdamW(lr=0.1, weight_decay=0.0).step({"p": p})
     np.testing.assert_array_equal(p.data, [1.5, -2.0])
 
 
 def test_adamw_single_step_closed_form():
     p = ad.Tensor(np.array([0.0]), requires_grad=True)
     p.grad = np.array([1.0])
-    opt = AdamW(lr=0.1)
+    opt = AdamW(lr=0.1, weight_decay=0.0)
     opt.step({"p": p})
     # At step 1 bias correction divides m = (1 - beta1) * g and
     # v = (1 - beta2) * g^2 by exactly those factors, so m_hat = g = 1 and
@@ -663,13 +663,13 @@ def test_adamw_nan_gradient_rejected():
     p = ad.Tensor(np.array([0.0]), requires_grad=True)
     p.grad = np.array([np.nan])
     with pytest.raises(TrainingError, match="p"):
-        AdamW().step({"p": p})
+        AdamW(lr=0.1, weight_decay=0.0).step({"p": p})
 
 
 def test_adamw_nan_gradient_leaves_state_untouched():
     a = ad.Tensor(np.array([1.0]), requires_grad=True)
     b = ad.Tensor(np.array([2.0]), requires_grad=True)
-    opt = AdamW(lr=0.1)
+    opt = AdamW(lr=0.1, weight_decay=0.0)
     a.grad, b.grad = np.array([1.0]), np.array([1.0])
     opt.step({"a": a, "b": b})
     before = (a.data.copy(), b.data.copy(),
@@ -691,7 +691,7 @@ def test_adamw_nan_gradient_on_first_step_creates_no_state():
     a = ad.Tensor(np.array([1.0]), requires_grad=True)
     b = ad.Tensor(np.array([2.0]), requires_grad=True)
     a.grad, b.grad = np.array([1.0]), np.array([np.nan])
-    opt = AdamW(lr=0.1)
+    opt = AdamW(lr=0.1, weight_decay=0.0)
     with pytest.raises(TrainingError):
         opt.step({"a": a, "b": b})
     np.testing.assert_array_equal(a.data, [1.0])
@@ -699,7 +699,7 @@ def test_adamw_nan_gradient_on_first_step_creates_no_state():
 
 
 def test_adamw_step_count_increments():
-    opt = AdamW()
+    opt = AdamW(lr=0.1, weight_decay=0.0)
     p = ad.Tensor(np.array([0.0]), requires_grad=True)
     for expected in (1, 2, 3):
         p.grad = np.array([1.0])

@@ -1,7 +1,9 @@
 """Command-line contract tests over the synthetic two-domain corpus."""
 
 import argparse
+import ast
 import dataclasses
+import glob
 import os
 import re
 import shutil
@@ -78,7 +80,8 @@ def test_malformed_config_value_exits_1(tmp_path, capsys, line):
 
 @pytest.mark.parametrize("line", [
     "groups = 0", "ckpt_every = 0", "widths =", "dk = 0", "time_width = 0",
-    "token_count = 0", "train_steps = -1", "seed = -1", "lr = nan"])
+    "token_count = 0", "train_steps = -1", "seed = -1", "lr = nan",
+    "out_dir ="])
 def test_out_of_range_config_value_exits_1(tmp_path, capsys, line):
     path = tmp_path / "bad.cfg"
     path.write_text(f"toy = true\n{line}\n")
@@ -128,8 +131,11 @@ def test_config_comments_and_types(tmp_path):
     ("widths = 8,16\n", "attn_stages"),  # the default stages are 2,3 and 3
     ("widths = 8,16\nattn_stages = 2\n", "cdfm_stages"),
     ("toy = true\nattn_stages = 1,3\n", "attn_stages"),
-    ("toy = true\ncdfm_stages = 3\nuse_cdfm = false\n", "cdfm_stages")],
-    ids=["default_attn", "default_cdfm", "toy_attn", "toy_cdfm_off"])
+    ("toy = true\ncdfm_stages = 3\nuse_cdfm = false\n", "cdfm_stages"),
+    # Six stages halve the grid five times; 16 rows do not divide by 32.
+    ("toy = true\nwidths = 8,8,8,8,8,8\n", "image_height")],
+    ids=["default_attn", "default_cdfm", "toy_attn", "toy_cdfm_off",
+         "toy_depth"])
 def test_stage_beyond_widths_exits_1(tmp_path, capsys, lines, key):
     path = tmp_path / "bad.cfg"
     path.write_text(lines)
@@ -249,17 +255,32 @@ def test_resumed_run_final_checkpoint_keeps_its_seed(trained, tmp_path):
     assert traces[0] == traces[1] and traces[0].count("\n") == 3
 
 
-@pytest.mark.parametrize("command", ["build-data", "train"])
+# A config key off the toy sensor -> its value, and what the error shows of
+# the toy scans and of the configured sensor.
+_OFF_TOY_SENSOR = {
+    "image_width": (32, "16x64 scan, the configured grid is 16x32"),
+    "r_max": (200, "r_max 80 m, the configured sensor has FOV 3/-25 deg, "
+              "r_max 200 m"),
+    "fov_up_deg": (10, "FOV 3/-25 deg, r_max 80 m, the configured sensor "
+                   "has FOV 10/-25 deg"),
+}
+
+
+@pytest.mark.parametrize("command, key", [
+    pytest.param(command, key,
+                 id=command if key == "image_width" else f"{command}-{key}")
+    for key in _OFF_TOY_SENSOR for command in ("build-data", "train")])
 def test_toy_config_with_another_grid_exits_1(trained, tmp_path, capsys,
-                                              command):
+                                              command, key):
+    value, shown = _OFF_TOY_SENSOR[key]
     src_tmp, _ = trained
     data_dir = tmp_path / "data" if command == "build-data" else src_tmp / "data"
-    cfg = _write_config(tmp_path, data_dir=str(data_dir), image_width=32)
+    cfg = _write_config(tmp_path, data_dir=str(data_dir), **{key: value})
     steps = ["--steps", "1"] if command == "train" else []
     assert cli.main([command, "--config", cfg, *steps]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "image_width" in err
+    assert key in err and shown in err
     assert not (tmp_path / "data").exists() and not (tmp_path / "run").exists()
 
 
@@ -474,6 +495,59 @@ def test_readme_synopsis_names_every_flag():
         flags = {flag for action in parser._actions
                  for flag in action.option_strings} - {"-h", "--help"}
         assert flags <= shown, (name, sorted(flags - shown))
+
+
+def _public_definitions(tree):
+    """(name, node) of each public top-level function, class and constant,
+    and of each public method of a public top-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign):
+            names = [node.target.id]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        else:
+            continue
+        for name in names:
+            if not name.startswith("_"):
+                yield name, node
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
+                    yield item.name, item
+
+
+def test_every_public_name_in_src_has_a_caller():
+    # src/rangegen holds only what the CLI and the benchmark run: each public
+    # name is used outside its own definition, in src/rangegen or perfbench.
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    paths = sorted(glob.glob(os.path.join(root, "src", "rangegen", "*.py"))
+                   + glob.glob(os.path.join(root, "perfbench", "*.py")))
+    trees = {}
+    for path in paths:
+        with open(path, encoding="utf-8") as f:
+            trees[path] = ast.parse(f.read())
+    uses = {}  # name -> [(path, line)]
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name.rsplit(".", 1)[-1]
+            else:
+                continue
+            uses.setdefault(name, []).append((path, node.lineno))
+    unused = [
+        f"{os.path.basename(path)}: {name}"
+        for path, tree in trees.items() if os.sep + "rangegen" + os.sep in path
+        for name, node in _public_definitions(tree)
+        if all(where == path and node.lineno <= line <= node.end_lineno
+               for where, line in uses.get(name, ()))]
+    assert not unused
 
 
 def test_help_exits_0(capsys):

@@ -4,8 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import (bits, cdfm_block_reference, check_grads, directional_fd,
-                      rel_err)
+from conftest import (TINY_CONFIG, bits, cdfm_block_reference, check_grads,
+                      directional_fd, rel_err)
 
 from rangegen import autodiff as ad
 from rangegen import denoiser as dn
@@ -305,7 +305,7 @@ def test_dafs_gradients(seed):
 # ---------------------------------------------------------------------------
 
 def _tiny_setup(seed=0):
-    cfg = dn.TINY_CONFIG
+    cfg = TINY_CONFIG
     rng = np.random.default_rng(seed)
     params = dn.init_denoiser(cfg, rng)
     x = rng.standard_normal((1, 2, 8, 16))
@@ -354,11 +354,11 @@ _WIDE = dn.DenoiserConfig(
 
 # Each case's config and the blocks each of its stages must hold, in order.
 @pytest.mark.parametrize("cfg, blocks", [
-    (dn.TINY_CONFIG, {"enc1": ["res"], "mid": ["res1", "attn", "cdfm", "res2"],
+    (TINY_CONFIG, {"enc1": ["res"], "mid": ["res1", "attn", "cdfm", "res2"],
                       "dec1": ["res", "dafs"]}),
-    (dataclasses.replace(dn.TINY_CONFIG, use_cdfm=False),
+    (dataclasses.replace(TINY_CONFIG, use_cdfm=False),
      {"enc1": ["res"], "mid": ["res1", "attn", "res2"], "dec1": ["res", "dafs"]}),
-    (dataclasses.replace(dn.TINY_CONFIG, use_dafs=False),
+    (dataclasses.replace(TINY_CONFIG, use_dafs=False),
      {"enc1": ["res"], "mid": ["res1", "attn", "cdfm", "res2"], "dec1": ["res"]}),
     (_WIDE, {"enc1": ["res", "attn", "cdfm"], "enc2": ["res"],
              "mid": ["res1", "attn", "cdfm", "res2"], "dec2": ["res", "dafs"],
@@ -385,7 +385,7 @@ def test_denoise_every_parameter_receives_gradient(cfg, blocks):
         assert np.all(np.isfinite(p.grad)), f"non-finite gradient at {name}"
 
 
-@pytest.mark.parametrize("cfg", [dn.TINY_CONFIG, _WIDE], ids=["tiny", "wide"])
+@pytest.mark.parametrize("cfg", [TINY_CONFIG, _WIDE], ids=["tiny", "wide"])
 def test_init_denoiser_float32_is_the_float64_init_cast(cfg):
     wide = dn.init_denoiser(cfg, np.random.default_rng(4))
     narrow = dn.init_denoiser(cfg, np.random.default_rng(4), np.float32)

@@ -5,11 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import TOY_DENOISER_CONFIG, bits
+from conftest import TINY_CONFIG, TOY_DENOISER_CONFIG, bits
 from rangegen import autodiff as ad
 from rangegen import denoiser as dn
 from rangegen import diffusion as df
-from rangegen.errors import ConfigError, TrainingError
+from rangegen.errors import ConfigError, ShapeError, TrainingError
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +32,8 @@ def test_schedule_strictly_decreasing():
 
 
 def test_schedule_betas_in_unit_interval():
-    betas = df.cosine_schedule(64).betas
+    ab = df.cosine_schedule(64).alpha_bar
+    betas = 1.0 - ab[1:] / ab[:-1]
     assert np.all(betas > 0) and np.all(betas <= 0.999)
 
 
@@ -96,7 +97,7 @@ def _zero_net_params(cfg):
 
 
 def test_loss_of_zero_net_near_one():
-    cfg = dn.TINY_CONFIG
+    cfg = TINY_CONFIG
     params = _zero_net_params(cfg)
     sched = df.cosine_schedule(64)
     rng = np.random.default_rng(2)
@@ -111,7 +112,7 @@ def test_loss_of_zero_net_near_one():
 
 
 def test_loss_deterministic_given_seed():
-    cfg = dn.TINY_CONFIG
+    cfg = TINY_CONFIG
     params = dn.init_denoiser(cfg, np.random.default_rng(1))
     sched = df.cosine_schedule(64)
     rng = np.random.default_rng(3)
@@ -125,7 +126,7 @@ def test_loss_deterministic_given_seed():
 
 
 def test_loss_nonfinite_names_offending_samples():
-    cfg = dn.TINY_CONFIG
+    cfg = TINY_CONFIG
     params = dn.init_denoiser(cfg, np.random.default_rng(1))
     params["head.b"].data[:] = np.inf
     sched = df.cosine_schedule(64)
@@ -138,7 +139,7 @@ def test_loss_nonfinite_names_offending_samples():
 
 
 def test_loss_populates_gradients():
-    cfg = dn.TINY_CONFIG
+    cfg = TINY_CONFIG
     params = dn.init_denoiser(cfg, np.random.default_rng(5))
     sched = df.cosine_schedule(64)
     rng = np.random.default_rng(6)
@@ -209,7 +210,7 @@ def _sample(cfg, params, sched, steps, seed, batch=1):
 
 
 def test_sampler_output_shape_and_range():
-    cfg = dn.TINY_CONFIG
+    cfg = TINY_CONFIG
     params = dn.init_denoiser(cfg, np.random.default_rng(7))
     sched = df.cosine_schedule(16)
     out = _sample(cfg, params, sched, steps=8, seed=0, batch=2)
@@ -219,7 +220,7 @@ def test_sampler_output_shape_and_range():
 
 def test_sampler_batch_follows_domain_idx():
     # One scan per domain index, the noise drawn at that batch size.
-    cfg = dn.TINY_CONFIG
+    cfg = TINY_CONFIG
     params = dn.init_denoiser(cfg, np.random.default_rng(20))
     sched = df.cosine_schedule(16)
     dom = np.array([1, 0, 1])
@@ -232,8 +233,27 @@ def test_sampler_batch_follows_domain_idx():
     assert np.array_equal(out, ref)
 
 
+def test_sampler_takes_one_prompt_or_one_per_domain_index():
+    # One prompt serves every scan; two prompts for three scans stop at the
+    # top instead of failing to broadcast inside the cross-attention.
+    cfg = TINY_CONFIG
+    params = dn.init_denoiser(cfg, np.random.default_rng(20))
+    sched = df.cosine_schedule(16)
+    dom = np.array([1, 0, 1])
+
+    def run(prompts):
+        zc = np.zeros((prompts, cfg.token_count, cfg.cond_dim))
+        return df.ddpm_sample(params, cfg, sched, zc, dom,
+                              np.random.default_rng(21), steps=2,
+                              shape=(8, 16))
+
+    assert run(1).shape == (3, 2, 8, 16)
+    with pytest.raises(ShapeError, match="2 prompts for 3 domain"):
+        run(2)
+
+
 def test_sampler_bit_reproducible():
-    cfg = dn.TINY_CONFIG
+    cfg = TINY_CONFIG
     params = dn.init_denoiser(cfg, np.random.default_rng(8))
     sched = df.cosine_schedule(16)
     a = _sample(cfg, params, sched, steps=8, seed=5)
@@ -242,7 +262,7 @@ def test_sampler_bit_reproducible():
 
 
 def test_sampler_rejects_excess_steps():
-    cfg = dn.TINY_CONFIG
+    cfg = TINY_CONFIG
     params = dn.init_denoiser(cfg, np.random.default_rng(9))
     sched = df.cosine_schedule(8)
     with pytest.raises(ConfigError):
@@ -252,7 +272,7 @@ def test_sampler_rejects_excess_steps():
 def test_sampler_zero_net_matches_two_step_oracle():
     # With the noise prediction forced to zero, the ancestral chain is an
     # explicit affine recursion in the injected Gaussians; replay it by hand.
-    cfg = dn.TINY_CONFIG
+    cfg = TINY_CONFIG
     params = _zero_net_params(cfg)
     ab = np.array([1.0, 0.6, 0.2])
     sched = df.NoiseSchedule(ab)
@@ -275,7 +295,7 @@ def test_sampler_zero_net_matches_two_step_oracle():
 
 
 def test_sampler_uses_conditioning():
-    cfg = dn.TINY_CONFIG
+    cfg = TINY_CONFIG
     params = dn.init_denoiser(cfg, np.random.default_rng(10))
     sched = df.cosine_schedule(16)
     rng_a = np.random.default_rng(3)
@@ -320,7 +340,7 @@ def _recording_reference_sample(params, cfg, sched, zc, domain_idx, rng,
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_sampler_matches_recording_reference_loop(dtype):
-    cfg = dn.TINY_CONFIG
+    cfg = TINY_CONFIG
     params = dn.init_denoiser(cfg, np.random.default_rng(12), dtype=dtype)
     sched = df.cosine_schedule(16)
     zc = np.random.default_rng(13).standard_normal(
@@ -336,7 +356,7 @@ def test_sampler_matches_recording_reference_loop(dtype):
 def test_sampler_runs_float32_network_in_float32(monkeypatch):
     # A float32 model sees float32 inputs and prompt tokens at every step,
     # while the chain it drives stays in float64.
-    cfg = dn.TINY_CONFIG
+    cfg = TINY_CONFIG
     params = dn.init_denoiser(cfg, np.random.default_rng(19), dtype=np.float32)
     inputs = []
     shipped_denoise = dn.denoise
@@ -352,7 +372,7 @@ def test_sampler_runs_float32_network_in_float32(monkeypatch):
 
 
 def test_sampler_records_no_tape_and_sets_no_grad(monkeypatch):
-    cfg = dn.TINY_CONFIG
+    cfg = TINY_CONFIG
     params = dn.init_denoiser(cfg, np.random.default_rng(15))
     outputs = []
     recording_denoise = dn.denoise

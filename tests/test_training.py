@@ -129,7 +129,9 @@ def _toy_pipeline(tmp_path, n_per_domain=10, seed=0):
 def test_train_smoke_loss_decreases(tmp_path):
     cfg, params, sched, data_dir, index, specs = _toy_pipeline(tmp_path)
     _, trace = training.train(params, cfg, sched, data_dir, index, specs,
-                              steps=60, seed=0, batch_size=8, lr=1e-3)
+                              steps=60, seed=0, batch_size=8, lr=1e-3,
+                              weight_decay=0.0, sampler="cdts",
+                              out_dir=str(tmp_path / "run"), ckpt_every=60)
     losses = [v for _, v in trace]
     assert len(losses) == 60
     assert np.mean(losses[-10:]) < np.mean(losses[:10])
@@ -140,8 +142,8 @@ def test_train_writes_loss_csv_and_checkpoints(tmp_path):
     cfg, params, sched, data_dir, index, specs = _toy_pipeline(tmp_path, 6)
     out = tmp_path / "run"
     training.train(params, cfg, sched, data_dir, index, specs,
-                   steps=10, seed=0, batch_size=4, lr=1e-3,
-                   out_dir=str(out), ckpt_every=5)
+                   steps=10, seed=0, batch_size=4, lr=1e-3, weight_decay=0.0,
+                   sampler="cdts", out_dir=str(out), ckpt_every=5)
     lines = (out / "loss.csv").read_text().splitlines()
     assert lines[0] == "step,loss"
     steps = [int(line.split(",")[0]) for line in lines[1:]]
@@ -158,12 +160,14 @@ def test_train_resume_bit_identical(tmp_path):
     out_full = tmp_path / "full"
     _, full_trace = training.train(params, cfg, sched, data_dir, index, specs,
                                    steps=20, seed=0, batch_size=4, lr=1e-3,
+                                   weight_decay=0.0, sampler="cdts",
                                    out_dir=str(out_full), ckpt_every=10)
 
     cfg2, params2, sched2, _, _, _ = _toy_pipeline(tmp_path, 6)
     _, resumed_trace = training.train(
         params2, cfg2, sched2, data_dir, index, specs, steps=20, seed=123,
-        batch_size=4, lr=1e-3,
+        batch_size=4, lr=1e-3, weight_decay=0.0, sampler="cdts",
+        out_dir=str(tmp_path / "resumed"), ckpt_every=10,
         resume_from=str(out_full / "ckpt_0000010.olck"))
     tail_full = [(s, v) for s, v in full_trace if s >= 10]
     assert resumed_trace == tail_full
@@ -192,7 +196,10 @@ def test_train_keeps_one_tape_at_a_time(tmp_path):
         tracemalloc.start()
         try:
             training.train(params, cfg, sched, data_dir, index, specs,
-                           steps=steps, seed=0, batch_size=2, lr=1e-3)
+                           steps=steps, seed=0, batch_size=2, lr=1e-3,
+                           weight_decay=0.0, sampler="cdts",
+                           out_dir=str(tmp_path / f"run{steps}"),
+                           ckpt_every=steps)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -253,7 +260,10 @@ def test_train_bit_identical_with_reference_kernels(tmp_path, monkeypatch):
         cfg, params, sched, data_dir, index, specs = _toy_pipeline(
             tmp_path / name, 2)
         _, trace = training.train(params, cfg, sched, data_dir, index, specs,
-                                  steps=5, seed=0, batch_size=4, lr=1e-3)
+                                  steps=5, seed=0, batch_size=4, lr=1e-3,
+                                  weight_decay=0.0, sampler="cdts",
+                                  out_dir=str(tmp_path / name / "run"),
+                                  ckpt_every=5)
         return ([float.hex(v) for _, v in trace],
                 {n: p.data.tobytes() for n, p in params.items()})
 
@@ -292,19 +302,22 @@ def test_train_unknown_sampler_rejected(tmp_path):
     cfg, params, sched, data_dir, index, specs = _toy_pipeline(tmp_path, 4)
     with pytest.raises(ConfigError):
         training.train(params, cfg, sched, data_dir, index, specs,
-                       steps=1, seed=0, sampler="bogus")
+                       steps=1, seed=0, batch_size=4, lr=1e-3,
+                       weight_decay=0.0, sampler="bogus",
+                       out_dir=str(tmp_path / "run"), ckpt_every=1)
 
 
 def test_checkpoint_meta_roundtrip(tmp_path):
     cfg, params, sched, data_dir, index, specs = _toy_pipeline(tmp_path, 4)
     opt, _ = training.train(params, cfg, sched, data_dir, index, specs,
                             steps=3, seed=0, batch_size=4, lr=1e-3,
-                            weight_decay=0.01)
+                            weight_decay=0.01, sampler="cdts",
+                            out_dir=str(tmp_path / "run"), ckpt_every=3)
     path = str(tmp_path / "state.olck")
     training.save_training_checkpoint(path, params, opt, 3, 0)
     cfg2 = TOY_DENOISER_CONFIG
     params2 = init_denoiser(cfg2, np.random.default_rng(99), dtype=np.float32)
-    opt2 = AdamW()
+    opt2 = AdamW(lr=0.0, weight_decay=0.0)
     meta = training.load_training_checkpoint(path, params2, opt2)
     assert meta["step"] == 3 and meta["seed"] == 0
     assert opt2.step_count == opt.step_count
@@ -320,7 +333,9 @@ def _saved_state(tmp_path):
     """A 2-step toy run's checkpoint: (path, buffers, meta)."""
     cfg, params, sched, data_dir, index, specs = _toy_pipeline(tmp_path, 4)
     opt, _ = training.train(params, cfg, sched, data_dir, index, specs,
-                            steps=2, seed=0, batch_size=2, lr=1e-3)
+                            steps=2, seed=0, batch_size=2, lr=1e-3,
+                            weight_decay=0.0, sampler="cdts",
+                            out_dir=str(tmp_path / "run"), ckpt_every=2)
     path = str(tmp_path / "state.olck")
     training.save_training_checkpoint(path, params, opt, 2, 0)
     return (path,) + read_checkpoint(path)
@@ -353,6 +368,7 @@ def test_load_rejects_damaged_checkpoint(tmp_path, damage):
     params = _fresh_params()
     before = {n: p.data.copy() for n, p in params.items()}
     with pytest.raises(ConfigError, match=name):
-        training.load_training_checkpoint(path, params, AdamW())
+        training.load_training_checkpoint(
+            path, params, AdamW(lr=0.0, weight_decay=0.0))
     for n, p in params.items():
         np.testing.assert_array_equal(p.data, before[n])
