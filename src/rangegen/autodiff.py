@@ -134,34 +134,10 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
     def __sub__(self, other):
         if isinstance(other, Tensor):
             return add(self, mul(other, -1.0))
         return add(self, -other)
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, power(other, -1.0))
-        return mul(self, 1.0 / other)
-
-    def __pow__(self, p):
-        return power(self, p)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def backward(self):
         if self.data.size != 1:

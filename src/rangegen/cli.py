@@ -74,8 +74,9 @@ class RunConfig:
                 raise ConfigError(
                     f"config key {key!r} must name stages 1..{len(self.widths)}"
                     f" of widths {list(self.widths)}, got {list(stages)}")
-        if not self.out_dir:
-            raise ConfigError("config key 'out_dir' must name a directory")
+        for key in ("out_dir", "data_dir"):
+            if not getattr(self, key):
+                raise ConfigError(f"config key {key!r} must name a directory")
         # Each stage but the last halves the grid.
         depth = 2 ** (len(self.widths) - 1)
         for key in ("image_height", "image_width"):
@@ -153,20 +154,17 @@ def _coerce(key, value):
 
 
 def parse_config(path):
-    """Read a key=value config file into a RunConfig; unknown keys fail.
-    A `toy = true` file takes the toy preset for every key it leaves unset."""
+    """Read a `key = value` config file (the syntax of
+    `forge.read_key_values`, without sections) into a RunConfig; unknown
+    keys fail. A `toy = true` file takes the toy preset for every key it
+    leaves unset."""
+    (_, _, entries), *sections = forge.read_key_values(path)
+    if sections:
+        raise ConfigError(f"{path}:{sections[0][1]}: expected 'key = value'")
     values = {}
-    for lineno, line in enumerate(forge.read_text_lines(path), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, raw = line.partition("=")
-        key = key.strip()
+    for key, (lineno, raw) in entries.items():
         if key not in _FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        raw = raw.strip()
         try:
             values[key] = _coerce(key, raw)
         except ValueError as exc:
@@ -210,20 +208,11 @@ def denoiser_config_from(cfg, num_domains):
 
 
 def _read_base_index(path):
-    entries = []
+    """(scan path, split) pairs, a relative path taken from the index's
+    directory."""
     root = os.path.dirname(os.path.abspath(path))
-    for line in forge.read_text_lines(path):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ConfigError(f"{path}: expected 'path<TAB>split' lines")
-        scan, split = parts
-        if not os.path.isabs(scan):
-            scan = os.path.join(root, scan)
-        entries.append((scan, split))
-    return entries
+    return [(os.path.join(root, scan), split)
+            for scan, split in forge.read_table(path, ("path", "split"))]
 
 
 def _check_toy_sensor(cfg):
@@ -444,7 +433,7 @@ def build_parser():
     s.add_argument("--domain", required=True)
     s.add_argument("--count", type=int, default=1)
     s.add_argument("--steps", type=int,
-                   help="sampling steps (default from config, 256)")
+                   help="sampling steps (default: the config's sampler_steps)")
     s.add_argument("--seed", type=int)
     s.add_argument("--out")
     s.add_argument("--write-points", action="store_true")

@@ -8,7 +8,6 @@ the structural properties the model must learn), per-domain prompt
 pools, and pooled dataset assembly with carried-through splits.
 """
 
-import configparser
 import hashlib
 import io
 import math
@@ -26,18 +25,8 @@ GROUND_Z_DEFAULT = -1.3  # meters; below this a return counts as ground
 
 @dataclass(frozen=True)
 class CorruptionSpec:
-    kind: str                    # fog | snow | rain | wet_ground
+    kind: str                    # a key of DEFAULT_SEVERITIES
     severity_levels: tuple       # tuple of level dicts
-
-    def __post_init__(self):
-        if self.kind not in ("fog", "snow", "rain", "wet_ground"):
-            raise ConfigError(f"unknown corruption kind {self.kind!r}")
-        if not self.severity_levels:
-            raise ConfigError("severity level list is empty")
-        for lev in self.severity_levels:
-            att = lev.get("intensity_attenuation", 1.0)
-            if not 0.0 <= att <= 1.0:
-                raise ConfigError(f"attenuation {att} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -66,6 +55,53 @@ def read_text_lines(path):
                           f"{exc.start})") from None
 
 
+def read_key_values(path):
+    """The `key = value` lines of a text file under their `[section]`
+    headers: a list of (section, line number, {key: (line number, value)}),
+    whose first item, (None, 0, ...), holds the lines before any header.
+
+    `#` starts a comment anywhere on a line, blank lines are skipped, and
+    keys are case-sensitive. Any other line, a key repeated within a
+    section or a repeated section is a ConfigError naming `path:line`."""
+    sections = [(None, 0, {})]
+    for lineno, line in enumerate(read_text_lines(path), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            if any(line[1:-1] == name for name, _, _ in sections):
+                raise ConfigError(f"{path}:{lineno}: section {line} appears "
+                                  "twice")
+            sections.append((line[1:-1], lineno, {}))
+            continue
+        key, eq, value = line.partition("=")
+        key = key.strip()
+        if not eq:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        entries = sections[-1][2]
+        if key in entries:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} appears twice")
+        entries[key] = (lineno, value.strip())
+    return sections
+
+
+def read_table(path, columns):
+    """The tab-separated fields of each non-empty line of a text file, as a
+    list of tuples with one string per name in `columns`; a ConfigError
+    naming `path:line` for a line with another number of fields."""
+    rows = []
+    for lineno, line in enumerate(read_text_lines(path), 1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        fields = tuple(line.split("\t"))
+        if len(fields) != len(columns):
+            raise ConfigError(f"{path}:{lineno}: expected "
+                              f"'{'<TAB>'.join(columns)}'")
+        rows.append(fields)
+    return rows
+
+
 @dataclass
 class DatasetIndex:
     records: list = field(default_factory=list)  # (relative path, domain, split)
@@ -86,16 +122,7 @@ class DatasetIndex:
 
     @classmethod
     def load(cls, path):
-        records = []
-        for line in read_text_lines(path):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ConfigError(f"{path}: malformed index line {line!r}")
-            records.append(tuple(parts))
-        return cls(records)
+        return cls(read_table(path, ("path", "domain", "split")))
 
 
 # ---------------------------------------------------------------------------
@@ -269,58 +296,56 @@ def default_domain_specs(sensor):
     return specs
 
 
-CORRUPTION_KEYS = ("dropout_slope", "intensity_attenuation", "scatter_count",
-                   "scatter_range")
+# The keys of a severity level, each with the closed range of its value.
+# scatter_range is the far end of the snow returns' uniform draw from 0.5 m.
+CORRUPTION_KEYS = {"dropout_slope": (-math.inf, math.inf),
+                   "intensity_attenuation": (0.0, 1.0),
+                   "scatter_count": (0.0, math.inf),
+                   "scatter_range": (0.5, math.inf)}
 
 
 def parse_corruption_file(path):
-    """Severity tables from '[kind.level]' sections of 'key = value' lines.
+    """Severity tables from '[kind.level]' sections of 'key = value' lines,
+    in the syntax of `read_key_values`.
 
     Every section names a known kind and an integer level, each kind's
     levels are numbered 0..n-1, and every key is a known one with a finite
-    number (a whole one for scatter_count). Anything else is a one-line
-    ConfigError naming the file and the section."""
-    cp = configparser.ConfigParser(interpolation=None)
-    try:
-        cp.read_file(read_text_lines(path), source=path)
-    except configparser.MissingSectionHeaderError as exc:
-        raise ConfigError(f"{path}: line {exc.lineno}: a key before any "
-                          "[kind.level] section header") from None
-    except configparser.DuplicateSectionError as exc:
-        raise ConfigError(f"{path}: section [{exc.section}] appears twice"
-                          ) from None
-    except configparser.DuplicateOptionError as exc:
-        raise ConfigError(f"{path}: section [{exc.section}]: key "
-                          f"{exc.option!r} appears twice") from None
-    except configparser.ParsingError as exc:
-        raise ConfigError(f"{path}: line {exc.errors[0][0]} is not "
-                          "'key = value'") from None
-    if cp.defaults():
-        raise ConfigError(f"{path}: section [{cp.default_section}] is not "
-                          "kind.level")
+    number inside its range (a whole one for scatter_count). Anything else
+    is a one-line ConfigError naming the file and, where there is one, the
+    line."""
+    (_, _, loose), *sections = read_key_values(path)
+    if loose:
+        raise ConfigError(f"{path}:{min(loose.values())[0]}: a key before "
+                          "any [kind.level] section header")
     tables = {}
-    for section in cp.sections():
+    for section, lineno, entries in sections:
         kind, _, lev = section.rpartition(".")
         # A canonical level only, so that [fog.1] and [fog.01] cannot clash.
         if kind not in DEFAULT_SEVERITIES or not (
                 lev.isdecimal() and lev == str(int(lev))):
             raise ConfigError(
-                f"{path}: section [{section}] is not kind.level with kind "
-                f"one of {', '.join(DEFAULT_SEVERITIES)} and an integer level")
+                f"{path}:{lineno}: section [{section}] is not kind.level with "
+                f"kind one of {', '.join(DEFAULT_SEVERITIES)} and an integer "
+                "level")
         level = {}
-        for key, value in cp.items(section):
+        for key, (lineno, value) in entries.items():
+            where = f"{path}:{lineno}: section [{section}]"
             if key not in CORRUPTION_KEYS:
                 raise ConfigError(
-                    f"{path}: section [{section}]: unknown key {key!r} "
+                    f"{where}: unknown key {key!r} "
                     f"(known: {', '.join(CORRUPTION_KEYS)})")
             try:
                 number = float(value)
             except ValueError:
                 number = math.nan
-            if not math.isfinite(number) or (key == "scatter_count" and not (
-                    number >= 0 and number.is_integer())):
-                raise ConfigError(f"{path}: section [{section}]: {key} = "
-                                  f"{value!r} is not a valid number")
+            if not math.isfinite(number) or (
+                    key == "scatter_count" and not number.is_integer()):
+                raise ConfigError(f"{where}: {key} = {value!r} is not a "
+                                  "valid number")
+            low, high = CORRUPTION_KEYS[key]
+            if not low <= number <= high:
+                raise ConfigError(f"{where}: {key} = {value} is outside "
+                                  f"[{low:g}, {high:g}]")
             level[key] = number
         tables.setdefault(kind, {})[int(lev)] = level
     for kind, levels in tables.items():

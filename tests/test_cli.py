@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import bev_histogram_reference, unproject_reference
-from rangegen import cli, geometry, metrics, toy
+from rangegen import cli, forge, geometry, metrics, toy
 from rangegen.checkpoint import read_checkpoint, write_checkpoint
 from rangegen.denoiser import DenoiserConfig
 from rangegen.errors import ConfigError
@@ -81,16 +81,20 @@ def test_malformed_config_value_exits_1(tmp_path, capsys, line):
 @pytest.mark.parametrize("line", [
     "groups = 0", "ckpt_every = 0", "widths =", "dk = 0", "time_width = 0",
     "token_count = 0", "train_steps = -1", "seed = -1", "lr = nan",
-    "out_dir ="])
-def test_out_of_range_config_value_exits_1(tmp_path, capsys, line):
+    "out_dir =", "data_dir ="])
+def test_out_of_range_config_value_exits_1(tmp_path, capsys, monkeypatch,
+                                           line):
+    monkeypatch.chdir(tmp_path)  # where an empty directory would be taken
     path = tmp_path / "bad.cfg"
     path.write_text(f"toy = true\n{line}\n")
     key = line.split("=")[0].strip()
     with pytest.raises(ConfigError, match=f"bad.cfg: config key '{key}'"):
         cli.parse_config(str(path))
-    assert cli.main(["train", "--config", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: ")
+    for command in ("build-data", "train"):
+        assert cli.main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+    assert os.listdir(tmp_path) == ["bad.cfg"]
 
 
 def test_config_defaults_are_the_model_and_sensor_defaults():
@@ -298,27 +302,64 @@ def test_train_on_corpus_with_unknown_domains_exits_1(trained, tmp_path,
     assert "ToyFar, ToyNear" in err and not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("text, named", [
-    (b"[fog.x]\ndropout_slope = 0.01\n", "[fog.x]"),
-    (b"[fog.0]\ndropout_slope = abc\n", "[fog.0]: dropout_slope"),
-    (b"dropout_slope = 0.01\n[fog.0]\n", "section header"),
-    (b"[fog.0]\ndropout_slope = 0.01\n[fog.0]\ndropout_slope = 0.02\n",
+@pytest.mark.parametrize("text, line, named", [
+    (b"[fog.x]\ndropout_slope = 0.01\n", 1, "[fog.x]"),
+    (b"[fog.0]\ndropout_slope = abc\n", 2, "[fog.0]: dropout_slope"),
+    (b"dropout_slope = 0.01\n[fog.0]\n", 1, "section header"),
+    (b"[fog.0]\ndropout_slope = 0.01\n[fog.0]\ndropout_slope = 0.02\n", 3,
      "[fog.0] appears twice"),
-    (b"[fogg.0]\ndropout_slope = 0.01\n", "[fogg.0]"),
-    (b"[fog.0]\ndropout_slop = 0.01\n", "[fog.0]: unknown key 'dropout_slop'"),
-    (b"[fog.0]\ndropout_slope = 0.01\n[fog.2]\ndropout_slope = 0.02\n",
+    (b"[fogg.0]\ndropout_slope = 0.01\n", 1, "[fogg.0]"),
+    (b"[fog.0]\ndropout_slop = 0.01\n", 2,
+     "[fog.0]: unknown key 'dropout_slop'"),
+    (b"[fog.0]\nintensity_attenuation = 1.5\n", 2,
+     "[fog.0]: intensity_attenuation = 1.5 is outside [0, 1]"),
+    # corrupt() draws snow returns from rng.uniform(0.5, scatter_range).
+    (b"[snow.0]\nscatter_range = 0.3\n", 2,
+     "[snow.0]: scatter_range = 0.3 is outside [0.5, inf]"),
+    (b"[fog.0]\ndropout_slope = 0.01\n[fog.2]\ndropout_slope = 0.02\n", None,
      "[fog.*] levels are [0, 2]"),
-    (b"\xff\xfe[fog.0]\n", "not text"),
-], ids=["level", "value", "no_section", "duplicate", "kind", "key", "gap",
-        "binary"])
-def test_malformed_corruption_file_exits_1(tmp_path, capsys, text, named):
+    (b"\xff\xfe[fog.0]\n", None, "not text"),
+], ids=["level", "value", "no_section", "duplicate", "kind", "key",
+        "attenuation", "scatter_range", "gap", "binary"])
+def test_malformed_corruption_file_exits_1(tmp_path, capsys, text, line, named):
     path = tmp_path / "severity.cfg"
     path.write_bytes(text)
     cfg = _write_config(tmp_path, toy="false", corruption_file=str(path))
     assert cli.main(["train", "--config", cfg, "--steps", "1"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    where = path if line is None else f"{path}:{line}"
+    assert err.startswith(f"error: {where}: ") and err.count("\n") == 1
     assert named in err
+
+
+# One line template in both hand-written files, with each file's own key and
+# a valid value for it: the two must give the same verdict. The error line
+# is None where the line is accepted.
+@pytest.mark.parametrize("template, line", [
+    ("{key} = {value}  # a note", None),
+    ("{key}: {value}", 2),
+    ("; a note", 2),
+    ("{KEY} = {value}", 2),
+    ("{key} = {value}\n{key} = {value}", 3),
+    ("{key} = {value}\n    {value}", 3),
+], ids=["inline_comment", "colon", "semicolon_comment", "upper_case_key",
+        "repeated_key", "continuation"])
+def test_run_config_and_corruption_file_share_one_syntax(tmp_path, template,
+                                                         line):
+    for name, header, key, value, read in [
+            ("run.cfg", "toy = true", "lr", "0.001",
+             lambda path: cli.parse_config(path).lr),
+            ("severity.cfg", "[fog.0]", "dropout_slope", "0.01",
+             lambda path: forge.parse_corruption_file(path)["fog"][0][
+                 "dropout_slope"])]:
+        path = tmp_path / name
+        path.write_text(f"{header}\n" + template.format(
+            key=key, KEY=key.upper(), value=value) + "\n")
+        if line is None:
+            assert read(str(path)) == float(value)
+        else:
+            with pytest.raises(ConfigError, match=re.escape(f"{path}:{line}: ")):
+                read(str(path))
 
 
 NOT_UTF8 = b"\xff\xfe = 1\n"
@@ -358,6 +399,23 @@ def test_train_without_dataset_fails(tmp_path, capsys):
     cfg = _write_config(tmp_path, data_dir=str(tmp_path / "nowhere"))
     assert cli.main(["train", "--config", cfg]) == 1
     assert "index" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, index_name, text", [
+    ("build-data", "base.tsv", "a.olri\ttrain\nb.olri\ttrain\textra\n"),
+    ("train", "index.tsv", "Fog/a.olri\tFog\ttrain\nFog/b.olri\tFog\n")],
+    ids=["base_index", "dataset_index"])
+def test_index_line_with_wrong_field_count_exits_1(tmp_path, capsys, command,
+                                                   index_name, text):
+    path = tmp_path / "data" / index_name
+    path.parent.mkdir()
+    path.write_text(text)
+    cfg = _write_config(tmp_path, toy="false", base_vehicle_index=path,
+                        base_drone_index=path, base_quadruped_index=path)
+    steps = ["--steps", "1"] if command == "train" else []
+    assert cli.main([command, "--config", cfg, *steps]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:2: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -207,15 +207,6 @@ def test_corrupt_bounds_preserved():
     assert np.all(out.intensity >= 0.0) and np.all(out.intensity <= 1.0)
 
 
-def test_corruption_spec_validation():
-    with pytest.raises(ConfigError):
-        forge.CorruptionSpec("hail", ({},))
-    with pytest.raises(ConfigError):
-        forge.CorruptionSpec("fog", ())
-    with pytest.raises(ConfigError):
-        forge.CorruptionSpec("fog", ({"intensity_attenuation": 1.5},))
-
-
 # ---------------------------------------------------------------------------
 # Prompts
 # ---------------------------------------------------------------------------
