@@ -43,7 +43,11 @@ recomputation the same way): ``layer_norm`` keeps its per-position mean
 and inverse deviation (1/C of its input) and rebuilds ``xhat``, ``silu``
 recomputes its gate, and ``conv2d`` re-pads its input. A rebuilt value
 comes from the same expression on the same data, so it has the bits and
-layout the forward pass's value had, and no gradient changes.
+layout the forward pass's value had, and no gradient changes. The fused
+``layer_norm(..., silu=True)`` goes one step further (as InPlace-ABN, Rota
+Bulò et al. 2018, does for batch norm): it keeps no norm output at all
+and rebuilds ``xhat``, the affine output and the gate from its mean and
+inverse deviation, so the tape holds one activation fewer per call.
 
 Convolution is lowered to matrix products (im2col, Chellapilla et al.
 2006). ``_pad_conv`` fills one new buffer with the input, ph zero rows
@@ -97,11 +101,46 @@ workspace, ``_workspace``, which grows to the largest block, at most
 reused by every call, so the large per-call buffers cost no fresh pages.
 Only ``conv2d`` and its backward closure touch it, and only between
 entry and return: nothing else may hold a view of it, and no output or
-stored gradient aliases it. It is not thread-safe, and nothing here runs
-convolutions concurrently.
+stored gradient aliases it. No two convolutions run at once. Within one
+call, ``_im2col``'s tile workers (below) write disjoint channel slices of
+the columns; the workspace is taken and released by the calling thread.
+
+Threads. numpy's ufuncs run on one core, and about half of a paper-width
+training step is memory-bound work in them. So the SiLU forward and
+backward, ``layer_norm``'s forward and input gradient (fused SiLU tail
+included), ``_pad_conv``, ``_im2col``'s copy and ``_accum``'s out-of-place
+add split their arrays into tiles, run by the calling thread and the
+workers of one module-level pool: min(cores, ``_MAX_THREADS``) threads in
+all, the caller included, made on first use, so the pool never starts a
+thread beyond the cores it may run on. Arrays below ``_TILE_BYTES`` (2 MiB)
+run whole and inline, by the same function; for ``_im2col`` the size is
+that of one batch item's columns, so that a block of many small items (a
+toy-shape batch) copies inline too. A tile is a run of rows of H (of the
+sequence axis for a (B, L, C) norm, of channels for ``_im2col``), about
+``_TILE_BYTES`` / 2 bytes. Only elementwise work and per-position
+reductions over the norm's own axis are tiled: each output element is
+computed from the same inputs by the same expression whatever the tiling,
+so it has the same bits, and a tiled output takes the C order the whole
+expression gives a C-ordered input (an input in any other layout runs
+whole). Sums across positions stay whole and in their old order:
+``layer_norm``'s gain and bias gradients, ``conv2d``'s bias gradient and
+``_unbroadcast``, since tiling them would change their summation order.
+A tile worker touches only numpy and private helpers, never a public
+function of this package, which a tracer may wrap without being
+thread-safe. OpenBLAS's own threads spin for about 0.1 s after each call,
+each holding a core, so between a training step's GEMMs the tiles would
+find no free core; when the pool is made, it takes over OpenBLAS's thread
+jobs through ``openblas_set_threads_callback_function`` (OpenBLAS 0.3.27
+and later). The jobs are the ones OpenBLAS's threads would run, so every
+GEMM keeps its bits. A forked child drops the pool and hands the jobs back.
 """
 
+import ctypes
+import itertools
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -200,7 +239,174 @@ def _accum(t, g):
         else:
             t.grad = np.array(g, dtype=t.data.dtype, copy=True)
     else:
-        t.grad = np.add(t.grad, g, out=np.empty_like(t.grad))
+        out = np.empty_like(t.grad)
+        axis = out.ndim - 2 if np.shape(g) == out.shape else None
+        _each_tile(np.add, (t.grad, g, out), axis, out.nbytes)
+        t.grad = out
+
+
+# The worker threads, shared by the tiles of the memory-bound ops and by
+# OpenBLAS's GEMM jobs (see the module docstring's thread rules): the size
+# from which an op is split into tiles, and the most threads in all.
+_TILE_BYTES = 2 << 20
+_MAX_THREADS = 8
+_ALL = slice(None)
+_threads = 0     # threads in all, the caller's included; set on first use
+_pool = None     # the _threads - 1 workers beside the caller, None on one core
+_blas_lock = threading.Lock()
+_blas_callback = None  # kept alive while OpenBLAS holds a pointer to it
+_JOB = ctypes.CFUNCTYPE(None, ctypes.c_int, ctypes.c_void_p, ctypes.c_int)
+_JOBS = ctypes.CFUNCTYPE(None, ctypes.c_int, _JOB, ctypes.c_int,
+                         ctypes.c_size_t, ctypes.c_void_p, ctypes.c_int)
+
+
+def _tile_pool():
+    """The workers, made on first use: min(cores, _MAX_THREADS) threads in
+    all, the calling thread being one of them. Making them hands OpenBLAS's
+    thread jobs to them as well."""
+    global _threads, _pool
+    if not _threads:
+        cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count() or 1)
+        _threads = min(cores, _MAX_THREADS)
+        if _threads > 1:
+            _pool = ThreadPoolExecutor(_threads - 1, "rangegen-tile")
+            _blas_on_pool(True)
+            os.register_at_fork(after_in_child=_forget_pool)
+    return _pool
+
+
+def _forget_pool():
+    """In a forked child, where the parent's workers do not run: no pool,
+    and OpenBLAS's jobs back on its own threads."""
+    global _threads, _pool
+    _threads, _pool = 0, None
+    _blas_on_pool(False)
+
+
+def _openblas():
+    """(set_threads_callback_function, get_num_threads, set_num_threads) of
+    the OpenBLAS this process loaded, or None: another BLAS, an OpenBLAS
+    older than 0.3.27, or no /proc/self/maps."""
+    try:
+        with open("/proc/self/maps") as f:
+            paths = sorted({line.split()[-1] for line in f
+                            if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_", "64_"), ("", "64_"), ("", "")):
+            names = [f"{prefix}openblas_{name}{suffix}" for name in (
+                "set_threads_callback_function", "get_num_threads",
+                "set_num_threads")]
+            if all(hasattr(lib, name) for name in names):
+                return [getattr(lib, name) for name in names]
+    return None
+
+
+def _blas_on_pool(on):
+    """Run OpenBLAS's thread jobs on the workers (on), or on its own threads.
+
+    OpenBLAS's own threads spin for about 0.1 s after each of its calls,
+    each holding a core, so a training step's GEMMs would keep one core
+    from the tiles between them. Its jobs are the same either way, so every
+    GEMM keeps its bits; at most _threads of them, so that all of one
+    call's can run at once.
+    """
+    global _blas_callback
+    fns = _openblas()
+    if fns is None:
+        return
+    set_callback, get_threads, set_threads = fns
+    set_callback.argtypes = [_JOBS]
+    set_threads.argtypes = [ctypes.c_int]
+    _blas_callback = _JOBS(_blas_jobs) if on else _JOBS()  # else NULL
+    if on and get_threads() > _threads:
+        set_threads(_threads)
+    set_callback(_blas_callback)
+
+
+def _blas_jobs(sync, job, n, size, data, arg):
+    """OpenBLAS's threads callback: its n jobs of one call, all at once, job
+    0 on the calling thread and the others on the workers, returning when
+    all are done. The jobs of one call wait on each other, so one call runs
+    at a time, and a job the workers cannot take at once (more jobs than
+    workers, or a pool shut down at exit) gets a thread of its own."""
+    with _blas_lock:
+        waits = []
+        for i in range(1, n):
+            args = (i, data + i * size, arg)
+            try:
+                if i < _threads:
+                    waits.append(_pool.submit(job, *args).result)
+                    continue
+            except RuntimeError:
+                pass
+            t = threading.Thread(target=job, args=args)
+            t.start()
+            waits.append(t.join)
+        job(0, data, arg)
+        for wait in waits:
+            wait()
+
+
+def _each_tile(fn, arrays, axis, nbytes):
+    """fn(*arrays) in tiles: fn(*(a[i] for a in arrays)) for index tuples i
+    that cover the arrays' common extent along `axis`.
+
+    Below _TILE_BYTES, or with no axis to split (None or negative), this is
+    one inline call fn(*arrays). Otherwise the tiles are runs of the axis of
+    about _TILE_BYTES / 2 each (an op at the floor makes two), taken in turn
+    by the calling thread and the workers. `fn` may only touch numpy and
+    private helpers.
+    """
+    if nbytes < _TILE_BYTES or axis is None or axis < 0:
+        fn(*arrays)
+        return
+    n = arrays[0].shape[axis]
+    step = max(1, n * _TILE_BYTES // (2 * nbytes))
+    tiles = [(_ALL,) * axis + (slice(k, k + step),) for k in range(0, n, step)]
+    take = itertools.count()  # one next() at a time, under the GIL
+
+    def drain():
+        for k in take:
+            if k >= len(tiles):
+                return
+            fn(*(a[tiles[k]] for a in arrays))
+
+    pool = _tile_pool()
+    futures = [pool.submit(drain) for _ in range(_threads - 1)] if pool else []
+    try:
+        drain()
+    finally:
+        for f in futures:
+            f.result()
+
+
+def _tiled(kernel, arrays, specs, skip=None):
+    """The outputs of kernel(*arrays, out), an elementwise or per-position
+    function of arrays shaped as the first, x (or as x with size 1 along
+    `skip`), that returns one array per entry of out.
+
+    Inline as kernel(*arrays, (None, None, None)), where numpy allocates
+    each output as the plain expression does, when x is below _TILE_BYTES,
+    is not C-contiguous, or has no axis but the last and `skip`. Otherwise
+    tiles of the last axis but one other than `skip` write into C-ordered
+    outputs of specs(), (shape, dtype) pairs: the layout the plain
+    expression gives when x is C-ordered, whatever the layout of the others.
+    """
+    x = arrays[0]
+    axis = None
+    if x.nbytes >= _TILE_BYTES and x.flags.c_contiguous:
+        axis = max((k for k in range(x.ndim - 1) if k != skip), default=None)
+    if axis is None:
+        return kernel(*arrays, (None, None, None))
+    outs = tuple(np.empty(shape, dtype) for shape, dtype in specs())
+    k = len(arrays)
+    _each_tile(lambda *parts: kernel(*parts[:k], parts[k:]), arrays + outs,
+               axis, x.nbytes)
+    return outs
 
 
 def _unbroadcast(g, shape):
@@ -284,13 +490,34 @@ def _sigmoid_np(x):
     return s
 
 
+def _silu_np(x, out=None):
+    return np.multiply(x, _sigmoid_np(x), out)
+
+
+def _silu_grad_np(g, x, out=None):
+    """SiLU's input gradient for upstream g, its gate recomputed from x:
+    cheaper than keeping it.
+
+    Without `out`, the one expression g * (...): numpy then computes it in
+    place in the temporary (...) when that is large enough, so the result
+    takes x's layout, not the one g and x would give a fresh array.
+    """
+    s = _sigmoid_np(x)
+    if out is None:
+        return g * (s + x * s * (1.0 - s))
+    return np.multiply(g, s + x * s * (1.0 - s), out)
+
+
 def silu(a):
     a = _wrap(a)
-    data = a.data * _sigmoid_np(a.data)
+    x = a.data
+    data, = _tiled(lambda x, out: (_silu_np(x, out[0]),), (x,),
+                   lambda: [(x.shape, x.dtype)])
 
     def bwd(g):
-        s = _sigmoid_np(a.data)  # recomputed: cheaper than keeping it
-        _accum(a, g * (s + a.data * s * (1.0 - s)))
+        dx, = _tiled(lambda x, g, out: (_silu_grad_np(g, x, out[0]),), (x, g),
+                     lambda: [(x.shape, np.result_type(g, x))])
+        _accum(a, dx)
 
     return _make(data, (a,), bwd)
 
@@ -425,50 +652,91 @@ def softmax(a, axis=-1):
     return mul(e, power(tsum(e, axis=axis, keepdims=True), -1.0))
 
 
-def layer_norm(x, gain, bias, axis=-1):
-    """Normalize over `axis` (variance floor 1e-5), then scale and shift by
-    per-feature gain and bias.
-
-    One tape node with the closed-form backward (Ba et al. 2016): with
-    d = gy * gain, dx = inv * (d - mean(d) - xhat * mean(d * xhat)).
-    """
-    x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
-    nd = x.data.ndim
-    axis %= nd
-    feat = [1] * nd
-    feat[axis] = x.data.shape[axis]
-    g = gain.data.reshape(feat)
-    mean = x.data.mean(axis=axis, keepdims=True)
-    xhat = x.data - mean
-    inv = (xhat * xhat).mean(axis=axis, keepdims=True)
+def _norm_np(x, g, b, axis, silu, out):
+    """layer_norm's output, with the SiLU tail if `silu`, and its mean and
+    inverse deviation, written into `out` (None entries: fresh arrays)."""
+    mean = x.mean(axis, None, out[1], True)
+    xhat = x - mean
+    inv = (xhat * xhat).mean(axis, None, out[2], True)
     inv += 1e-5
     inv **= -0.5
     xhat *= inv
-    data = xhat * g
-    data += bias.data.reshape(feat)
+    y = np.multiply(xhat, g, None if silu else out[0])
+    y += b
+    return (_silu_np(y, out[0]) if silu else y), mean, inv
+
+
+def _norm_grad_np(gy, x, mean, inv, g, b, axis, silu, out):
+    """(dx, gy' * xhat) and, with the SiLU tail, gy': layer_norm's input
+    gradient, the product its gain gradient sums, and the gradient gy' at
+    the norm's output (gy itself without the tail).
+
+    xhat, and with the tail the norm's output and gate, are rebuilt from the
+    kept mean and inv by the forward's own expressions, so they have its
+    bits. The closed form runs in two buffers: t = d * xhat takes the layout
+    that inv * (d - mean(d) - xhat * mean(t)) would have, and every step
+    rounds as that expression does.
+    """
+    xhat = x - mean
+    xhat *= inv
+    if silu:
+        y = xhat * g
+        y += b
+        gy = _silu_grad_np(gy, y, out[2])
+    p = np.multiply(gy, xhat, out[1])
+    d = gy * g
+    t = np.multiply(d, xhat, out[0])
+    tm = t.mean(axis=axis, keepdims=True)
+    d -= d.mean(axis=axis, keepdims=True)
+    np.multiply(xhat, tm, out=t)
+    np.subtract(d, t, out=t)
+    t *= inv
+    return (t, p, gy) if silu else (t, p)
+
+
+def layer_norm(x, gain, bias, axis=-1, silu=False):
+    """Normalize over `axis` (variance floor 1e-5), then scale and shift by
+    per-feature gain and bias; with `silu`, then SiLU, as one op.
+
+    One tape node with the closed-form backward (Ba et al. 2016): with
+    d = gy * gain, dx = inv * (d - mean(d) - xhat * mean(d * xhat)). The
+    fused SiLU keeps no norm output on the tape: backward rebuilds it, and
+    the result has the bits of silu(layer_norm(x, gain, bias, axis)).
+    """
+    x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
+    xd = x.data
+    nd = xd.ndim
+    axis %= nd
+    feat = [1] * nd
+    feat[axis] = xd.shape[axis]
+    g = gain.data.reshape(feat)
+    b = bias.data.reshape(feat)
+    data, mean, inv = _tiled(
+        lambda x, out: _norm_np(x, g, b, axis, silu, out), (xd,),
+        lambda: [(xd.shape, np.result_type(xd, g, b))]
+        + [(xd.shape[:axis] + (1,) + xd.shape[axis + 1:], xd.dtype)] * 2, axis)
     others = tuple(i for i in range(nd) if i != axis)
 
+    def specs(gy):
+        gdtype = np.result_type(gy, xd, g, b) if silu else gy.dtype
+        out = [(xd.shape, np.result_type(gdtype, g, xd)),
+               (xd.shape, np.result_type(gdtype, xd))]
+        if silu:
+            out.append((xd.shape, gdtype))
+        return out
+
     def bwd(gy):
-        # xhat rebuilt from the small mean and inv by the forward's own
-        # expression, so it has the same bits and layout.
-        xhat = x.data - mean
-        xhat *= inv
+        dx, p, *fused = _tiled(
+            lambda x, gy, mean, inv, out: _norm_grad_np(
+                gy, x, mean, inv, g, b, axis, silu, out),
+            (xd, gy, mean, inv), lambda: specs(gy), axis)
+        dy = fused[0] if silu else gy
+        # The gain and bias sums cross tiles: whole, in the plain order.
         if gain.requires_grad:
-            _accum(gain, (gy * xhat).sum(axis=others).reshape(gain.data.shape))
+            _accum(gain, p.sum(axis=others).reshape(gain.data.shape))
         if bias.requires_grad:
-            _accum(bias, gy.sum(axis=others).reshape(bias.data.shape))
-        if x.requires_grad:
-            # The closed form in two buffers: t = d * xhat takes the layout
-            # that inv * (d - mean(d) - xhat * mean(t)) would have, and
-            # every step rounds as that expression does.
-            d = gy * g
-            t = d * xhat
-            tm = t.mean(axis=axis, keepdims=True)
-            d -= d.mean(axis=axis, keepdims=True)
-            np.multiply(xhat, tm, out=t)
-            np.subtract(d, t, out=t)
-            t *= inv
-            _accum(x, t)
+            _accum(bias, dy.sum(axis=others).reshape(bias.data.shape))
+        _accum(x, dx)
 
     return _make(data, (x, gain, bias), bwd)
 
@@ -488,12 +756,19 @@ def _pad_conv(x, ph, pw):
     xp = np.empty((B, C, H + 2 * ph, W + 2 * pw), dtype=x.dtype)
     xp[:, :, :ph] = 0
     xp[:, :, ph + H:] = 0
-    rows = xp[:, :, ph : ph + H]
+    _each_tile(_wrap_rows, (xp[:, :, ph : ph + H], x), 2, xp.nbytes)
+    return xp
+
+
+def _wrap_rows(rows, x):
+    """Rows of a padded buffer, W + 2*pw wide: x in the middle and its pw
+    wrapped azimuth columns on each side."""
+    W = x.shape[-1]
+    pw = (rows.shape[-1] - W) // 2
     rows[..., pw : pw + W] = x
     if pw:
         rows[..., :pw] = x[..., W - pw:]
         rows[..., pw + W:] = x[..., :pw]
-    return xp
 
 
 # conv2d's scratch memory for the columns of its three lowerings, and the
@@ -530,9 +805,6 @@ def _blocks(B, n, unit_bytes):
             yield slice(b0, b0 + nb), slice(i * n // k, (i + 1) * n // k)
 
 
-_ALL = slice(None)
-
-
 def _im2col(xp, kh, kw, stride, bs=_ALL, cs=_ALL, hs=_ALL):
     """Columns (b, c*kh*kw, h*Ws) of the padded input for batch items `bs`,
     channels `cs` and output rows `hs`, channel-major, copied from one
@@ -548,8 +820,10 @@ def _im2col(xp, kh, kw, stride, bs=_ALL, cs=_ALL, hs=_ALL):
                      (sB, sC, sH, sW, stride * sH, stride * sW))
     win = win[bs, cs, :, :, hs]
     cols = _scratch(win.shape, xp.dtype)
-    np.copyto(cols, win)
     b, c, _, _, h, _ = win.shape
+    # Tiles of channels, by the size of one item's columns: a block of many
+    # small items (a toy-shape batch) copies inline.
+    _each_tile(np.copyto, (cols, win), 1, cols.nbytes // b)
     return cols.reshape(b, c * kh * kw, h * Ws)
 
 

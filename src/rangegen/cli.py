@@ -192,6 +192,14 @@ def domain_specs_from_config(cfg):
     specs = forge.default_domain_specs(sensor_from_config(cfg))
     if cfg.corruption_file:
         tables = forge.parse_corruption_file(cfg.corruption_file)
+        # Snow returns are drawn out to scatter_range and written as valid,
+        # so a range past the sensor's r_max would make returns it cannot see.
+        for level, table in enumerate(tables.get("snow", ())):
+            if table.get("scatter_range", 0.0) > cfg.r_max:
+                raise ConfigError(
+                    f"{cfg.corruption_file}: [snow.{level}]: scatter_range = "
+                    f"{table['scatter_range']:g} is beyond the sensor's "
+                    f"r_max = {cfg.r_max:g}")
         specs = [
             dataclasses.replace(
                 s, corruption=forge.CorruptionSpec(
@@ -252,8 +260,8 @@ def _base_corpora(cfg):
 def cmd_build_data(args):
     cfg = parse_config(args.config)
     _check_toy_sensor(cfg)
-    base = _base_corpora(cfg)
     specs = domain_specs_from_config(cfg)
+    base = _base_corpora(cfg)
     index, summary = forge.build_dataset(base, specs, cfg.data_dir, cfg.seed)
     print(f"built {len(index.records)} scans over {len(specs)} domains "
           f"into {cfg.data_dir}")

@@ -209,8 +209,9 @@ def dafs_modulate(f, domain_idx, table, bound):
 # ---------------------------------------------------------------------------
 
 def channel_norm(x, gain, bias):
-    """Layer norm over the channel axis of a BCHW tensor."""
-    return ad.layer_norm(x, gain, bias, axis=1)
+    """Layer norm over the channel axis of a BCHW tensor, then SiLU, as one
+    fused op that keeps no norm output on the tape."""
+    return ad.layer_norm(x, gain, bias, axis=1, silu=True)
 
 
 def _init_resblock(rng, cin, cout, time_width):
@@ -235,10 +236,10 @@ def _init_resblock(rng, cin, cout, time_width):
 def _resblock(x, p, temb):
     B = x.shape[0]
     cout = p["w1"].shape[0]
-    h = ad.conv2d(ad.silu(channel_norm(x, p["ln1_g"], p["ln1_b"])), p["w1"], p["b1"])
+    h = ad.conv2d(channel_norm(x, p["ln1_g"], p["ln1_b"]), p["w1"], p["b1"])
     tproj = ad.add(ad.matmul(temb, p["tw"]), p["tb"])
     h = ad.add(h, ad.reshape(tproj, (B, cout, 1, 1)))
-    h = ad.conv2d(ad.silu(channel_norm(h, p["ln2_g"], p["ln2_b"])), p["w2"], p["b2"])
+    h = ad.conv2d(channel_norm(h, p["ln2_g"], p["ln2_b"]), p["w2"], p["b2"])
     skip = ad.conv2d(x, p["ws"], p["bs"]) if "ws" in p else x
     return ad.add(skip, h)
 
@@ -384,5 +385,5 @@ def denoise(params, config, x, t, zc, domain_idx, t_max=None):
         h = _extras(_resblock(h, stage["res"], temb), stage, zc, domain_idx, cfg)
 
     head = p["head"]
-    h = ad.silu(channel_norm(h, head["ln_g"], head["ln_b"]))
+    h = channel_norm(h, head["ln_g"], head["ln_b"])
     return ad.conv2d(h, head["w"], head["b"])

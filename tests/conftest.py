@@ -229,8 +229,11 @@ def silu_reference(a):
     return ad._make(data, (a,), bwd)
 
 
-def layer_norm_reference(x, gain, bias, eps=1e-5, axis=-1):
-    """Drop-in for `ad.layer_norm` that keeps xhat for backward."""
+def layer_norm_reference(x, gain, bias, eps=1e-5, axis=-1, silu=False):
+    """Drop-in for `ad.layer_norm` that keeps xhat for backward; its fused
+    SiLU tail is `silu_reference` of the norm's output."""
+    if silu:
+        return silu_reference(layer_norm_reference(x, gain, bias, eps, axis))
     x, gain, bias = ad._wrap(x), ad._wrap(gain), ad._wrap(bias)
     nd = x.data.ndim
     axis %= nd

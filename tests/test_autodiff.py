@@ -1,14 +1,20 @@
 """Gradient, optimizer, and checkpoint tests for the numeric core."""
 
 import os
+import signal
 import struct
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from conftest import (bits, check_grads, conv2d_col2im_reference,
-                      conv2d_reference, rel_err, upsample2x_backward_reference)
+                      conv2d_reference, layer_norm_reference, rel_err,
+                      silu_reference, upsample2x_backward_reference)
 
 from rangegen import autodiff as ad
 from rangegen import backend
@@ -467,6 +473,349 @@ def test_layer_norm_input_gradient_matches_closed_form_bitwise(
                  - xhat * (d * xhat).mean(axis=axis, keepdims=True))
     assert t.grad.strides == ref.strides
     assert np.array_equal(bits(t.grad), bits(ref))
+
+
+# ---------------------------------------------------------------------------
+# Row tiles of the memory-bound ops: the bits and layout of the whole-array op
+# ---------------------------------------------------------------------------
+
+def _spy_tiles(monkeypatch):
+    """Record the rows of every tile `_each_tile` runs, a range, or ... for
+    a whole array."""
+    seen = []
+    each_tile = ad._each_tile
+
+    def spy(fn, arrays, axis, nbytes):
+        whole = nbytes < ad._TILE_BYTES or axis is None or axis < 0
+        start = arrays[0].__array_interface__["data"][0]
+
+        def record(*parts):
+            if whole:
+                seen.append(...)
+            else:
+                first = (parts[0].__array_interface__["data"][0] - start
+                         ) // arrays[0].strides[axis]
+                seen.append(range(first, first + parts[0].shape[axis]))
+            fn(*parts)
+        each_tile(record, arrays, axis, nbytes)
+
+    monkeypatch.setattr(ad, "_each_tile", spy)
+    return seen
+
+
+def _whole_and_tiled(monkeypatch, run, floor):
+    """run() inline, then in tiles with the floor at `floor` bytes; checks
+    that the second run split into tiles of unequal length, so the last
+    tile was ragged."""
+    seen = _spy_tiles(monkeypatch)
+    monkeypatch.setattr(ad, "_TILE_BYTES", float("inf"))
+    whole = run()
+    assert all(i is ... for i in seen)
+    seen.clear()
+    monkeypatch.setattr(ad, "_TILE_BYTES", floor)
+    tiled = run()
+    assert len({len(rows) for rows in seen if rows is not ...}) >= 2, \
+        "no ragged tile"
+    return whole, tiled
+
+
+def _assert_same_arrays(got, ref):
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.strides == b.strides
+        assert np.array_equal(bits(a), bits(b))
+
+
+def _node_run(op, arrays, g, **kw):
+    """Output and input gradients of one op node fed upstream `g`."""
+    ts = [ad.Tensor(a, requires_grad=True) for a in arrays]
+    out = op(*ts, **kw)
+    out._backward(g)
+    return [out.data] + [t.grad for t in ts]
+
+
+# (B, C, H, W) with H = 11 rows: a floor at the array's own size gives tiles
+# of 2 rows and a last one of 1.
+_TILE_SHAPE = (2, 6, 11, 7)
+_LAYOUTS = ["C", "F", "transposed", "channel_slice"]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("g_layout", _LAYOUTS)
+def test_silu_tiles_match_whole_bitwise(monkeypatch, dtype, g_layout):
+    rng = np.random.default_rng(11)
+    x = _signed(rng, _TILE_SHAPE, dtype)
+    g = _layout(_signed(rng, _TILE_SHAPE, dtype), g_layout)
+    whole, tiled = _whole_and_tiled(
+        monkeypatch, lambda: _node_run(ad.silu, [x], g), x.nbytes)
+    _assert_same_arrays(tiled, whole)
+
+
+def _norm_case(seed, dtype, axis, g_layout):
+    rng = np.random.default_rng(seed)
+    x = _signed(rng, _TILE_SHAPE, dtype)
+    x[0, :, 0] = -0.0  # whole normalized vectors of signed zeros
+    n = _TILE_SHAPE[axis]
+    gain = _signed(rng, (n,), dtype)
+    bias = _signed(rng, (n,), dtype)
+    g = _layout(_signed(rng, _TILE_SHAPE, dtype), g_layout)
+    return [x, gain, bias], g
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("axis", [1, -1])
+@pytest.mark.parametrize("silu", [False, True])
+@pytest.mark.parametrize("g_layout", _LAYOUTS)
+def test_layer_norm_tiles_match_whole_bitwise(monkeypatch, dtype, axis, silu,
+                                              g_layout):
+    arrays, g = _norm_case(12, dtype, axis, g_layout)
+    whole, tiled = _whole_and_tiled(
+        monkeypatch,
+        lambda: _node_run(ad.layer_norm, arrays, g, axis=axis, silu=silu),
+        arrays[0].nbytes)
+    _assert_same_arrays(tiled, whole)
+
+
+def test_layer_norm_tiles_along_the_sequence_axis(monkeypatch):
+    # The directional scan's norm: (B, L, C) over C, tiled along L.
+    rng = np.random.default_rng(13)
+    x = _signed(rng, (4, 11, 8), np.float32)
+    gain, bias = _signed(rng, (2, 8), np.float32)
+    g = _signed(rng, x.shape, np.float32)
+    whole, tiled = _whole_and_tiled(
+        monkeypatch, lambda: _node_run(ad.layer_norm, [x, gain, bias], g),
+        x.nbytes)
+    _assert_same_arrays(tiled, whole)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("axis", [1, -1])
+@pytest.mark.parametrize("g_layout", _LAYOUTS)
+@pytest.mark.parametrize("floor", ["inline", "tiled"])
+def test_fused_norm_silu_matches_composition_bitwise(monkeypatch, dtype, axis,
+                                                     g_layout, floor):
+    # Forward and all three gradients of the fused op, inline or in tiles,
+    # against silu(layer_norm(...)) as two inline nodes.
+    arrays, g = _norm_case(14, dtype, axis, g_layout)
+
+    def composed():
+        ts = [ad.Tensor(a, requires_grad=True) for a in arrays]
+        y = ad.layer_norm(*ts, axis=axis)
+        z = ad.silu(y)
+        z._backward(g)
+        y._backward(y.grad)
+        return [z.data] + [t.grad for t in ts]
+
+    def fused():
+        return _node_run(ad.layer_norm, arrays, g, axis=axis, silu=True)
+
+    ref, _ = _whole_and_tiled(monkeypatch, composed, arrays[0].nbytes)
+    monkeypatch.setattr(ad, "_TILE_BYTES", float("inf") if floor == "inline"
+                        else arrays[0].nbytes)
+    _assert_same_arrays(fused(), ref)
+
+
+@pytest.mark.parametrize("x_layout", ["C", "transposed"])
+def test_fused_norm_silu_matches_references_at_elision_size(x_layout):
+    # From 256 KiB numpy computes silu's backward g * (...) in place in the
+    # temporary, so the gradient takes x's layout (channels last after a
+    # transpose), and the norm's gain and bias sums read it in that order.
+    # The fused op, inline here, must keep those bits.
+    rng = np.random.default_rng(18)
+    shape = (2, 16, 32, 64)
+    x = _layout(_signed(rng, shape, np.float32), x_layout)
+    gain, bias = _signed(rng, (2, 16), np.float32)
+    g = _signed(rng, shape, np.float32)
+    assert g.nbytes >= 256 << 10
+    ts = [ad.Tensor(a, requires_grad=True) for a in (x, gain, bias)]
+    z = silu_reference(layer_norm_reference(*ts, axis=1))
+    y = z._parents[0]
+    z._backward(g)
+    y._backward(y.grad)
+    ref = [z.data] + [t.grad for t in ts]
+    got = _node_run(ad.layer_norm, [x, gain, bias], g, axis=1, silu=True)
+    _assert_same_arrays(got, ref)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("x_layout", ["C", "transposed"])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_pad_conv_and_im2col_tiles_match_whole_bitwise(monkeypatch, dtype,
+                                                       x_layout, stride):
+    rng = np.random.default_rng(15)
+    # 9 channels: a floor at the padded input's size gives tiles of 5 rows
+    # and a last one of 1; at one item's columns, tiles of 4 channels and a
+    # last one of 1.
+    x = _layout(_signed(rng, (2, 9, 11, 7), dtype), x_layout)
+    xp_whole, xp_tiled = _whole_and_tiled(
+        monkeypatch, lambda: ad._pad_conv(x, 1, 1), (2 * 9 * 13 * 9) * x.itemsize)
+    _assert_same_arrays([xp_tiled], [xp_whole])
+    cols_bytes = ad._im2col(xp_whole, 3, 3, stride).nbytes // 2
+    cols_whole, cols_tiled = _whole_and_tiled(
+        monkeypatch, lambda: ad._im2col(xp_whole, 3, 3, stride).copy(),
+        cols_bytes)
+    _assert_same_arrays([cols_tiled], [cols_whole])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("first", ["C", "transposed"])
+@pytest.mark.parametrize("g_layout", _LAYOUTS)
+def test_accum_tiles_match_whole_bitwise(monkeypatch, dtype, first, g_layout):
+    rng = np.random.default_rng(16)
+    g1 = _layout(_signed(rng, _TILE_SHAPE, dtype), first)
+    g2 = _layout(_signed(rng, _TILE_SHAPE, dtype), g_layout)
+
+    def run():
+        t = ad.Tensor(np.zeros(_TILE_SHAPE, dtype), requires_grad=True)
+        ad._accum(t, g1)
+        ad._accum(t, g2)
+        return [t.grad]
+
+    whole, tiled = _whole_and_tiled(monkeypatch, run, g1.nbytes)
+    _assert_same_arrays(tiled, whole)
+
+
+def test_tile_pool_never_exceeds_the_cores():
+    cores = len(os.sched_getaffinity(0))
+    pool = ad._tile_pool()
+    assert 1 <= ad._threads <= cores
+    if pool is None:
+        assert ad._threads == 1
+    else:
+        assert pool._max_workers == ad._threads - 1
+    # A tiled op starts no thread beyond the pool's.
+    x = np.ones((4, 32, 64, 64), np.float32)
+    assert x.nbytes >= ad._TILE_BYTES
+    ad.silu(ad.Tensor(x))
+    workers = [t for t in threading.enumerate()
+               if t.name.startswith("rangegen-tile")]
+    assert len(workers) + 1 <= cores or not workers
+
+
+def _gemm_case():
+    rng = np.random.default_rng(19)
+    a = rng.standard_normal((64, 576)).astype(np.float32)
+    b = rng.standard_normal((576, 4096)).astype(np.float32)
+    return a, b
+
+
+def _blas_on_pool_or_skip():
+    if ad._openblas() is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS with a threads callback")
+    ad._tile_pool()
+    if ad._pool is None:
+        pytest.skip("one core: no workers to run OpenBLAS's jobs on")
+
+
+def test_gemms_on_the_workers_keep_openblas_bits():
+    # OpenBLAS's jobs are the same on its own threads and on the workers.
+    _blas_on_pool_or_skip()
+    a, b = _gemm_case()
+    calls = []
+    jobs = ad._blas_jobs
+
+    def counted(*args):
+        calls.append(args[2])
+        jobs(*args)
+
+    try:
+        ad._blas_on_pool(False)
+        own = np.matmul(a, b)
+        ad._blas_callback = ad._JOBS(counted)
+        ad._openblas()[0](ad._blas_callback)
+        pooled = np.matmul(a, b)
+    finally:
+        ad._blas_on_pool(True)
+    assert calls and max(calls) > 1
+    assert np.array_equal(bits(pooled), bits(own))
+
+
+def test_gemm_with_more_jobs_than_workers_completes():
+    # Jobs past the workers' number get threads of their own: the jobs of
+    # one call wait on each other, so queueing them would never finish.
+    _blas_on_pool_or_skip()
+    a, b = _gemm_case()
+    ref = np.matmul(a, b)
+    _, get_threads, set_threads = ad._openblas()
+    before = get_threads()
+    result = []
+    try:
+        set_threads(ad._threads + 2)
+        t = threading.Thread(target=lambda: result.append(np.matmul(a, b)))
+        t.start()
+        t.join(timeout=60)
+        assert not t.is_alive()
+    finally:
+        set_threads(before)
+    assert np.array_equal(bits(result[0]), bits(ref))
+
+
+def test_gemms_from_two_threads_at_once_complete():
+    _blas_on_pool_or_skip()
+    a, b = _gemm_case()
+    ref = np.matmul(a, b)
+    results = []
+
+    def work():
+        for _ in range(10):
+            results.append(np.matmul(a, b))
+
+    threads = [threading.Thread(target=work) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 20
+    assert all(np.array_equal(bits(r), bits(ref)) for r in results)
+
+
+def test_forked_child_runs_gemms_on_openblas_threads():
+    # The workers do not exist in a forked child: it drops the pool and
+    # hands OpenBLAS's jobs back to OpenBLAS's own threads.
+    _blas_on_pool_or_skip()
+    a, b = _gemm_case()
+    ref = np.matmul(a, b)
+    pid = os.fork()
+    if pid == 0:
+        ok = ad._pool is None and np.array_equal(bits(np.matmul(a, b)),
+                                                 bits(ref))
+        os._exit(0 if ok else 1)
+    deadline = time.monotonic() + 60
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done or time.monotonic() > deadline:
+            break
+        time.sleep(0.01)
+    if not done:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done and os.waitstatus_to_exitcode(status) == 0
+
+
+def test_tiles_run_once_each_under_thread_contention(monkeypatch):
+    # More workers than cores and a short switch interval: every tile still
+    # runs exactly once and the result keeps its bits.
+    rng = np.random.default_rng(17)
+    x = _signed(rng, (2, 6, 101, 7), np.float32)
+    ref = ad.silu(ad.Tensor(x)).data
+    seen = _spy_tiles(monkeypatch)
+    pool = ThreadPoolExecutor(4)
+    monkeypatch.setattr(ad, "_pool", pool)
+    monkeypatch.setattr(ad, "_threads", 5)
+    monkeypatch.setattr(ad, "_TILE_BYTES", 256)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            seen.clear()
+            out = ad.silu(ad.Tensor(x)).data
+            assert sorted(r for rows in seen for r in rows) == list(range(101))
+            assert np.array_equal(bits(out), bits(ref))
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown(wait=True)
 
 
 def _scan_reference(abar, q, g):

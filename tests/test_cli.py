@@ -332,6 +332,22 @@ def test_malformed_corruption_file_exits_1(tmp_path, capsys, text, line, named):
     assert named in err
 
 
+@pytest.mark.parametrize("command", ["build-data", "train"])
+def test_snow_scatter_range_beyond_r_max_exits_1(tmp_path, capsys, command):
+    # forge.corrupt writes snow returns out to scatter_range as valid pixels,
+    # so a level reaching past the sensor's r_max (80 m by default) is
+    # rejected before any base index is read. Level 0 is within range.
+    path = tmp_path / "severity.cfg"
+    path.write_text("[snow.0]\nscatter_range = 80\n"
+                    "[snow.1]\nscatter_range = 500\n")
+    cfg = _write_config(tmp_path, toy="false", corruption_file=str(path))
+    assert cli.main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {path}: [snow.1]: scatter_range = 500 is beyond "
+                   "the sensor's r_max = 80\n")
+    assert not (tmp_path / "data").exists()
+
+
 # One line template in both hand-written files, with each file's own key and
 # a valid value for it: the two must give the same verdict. The error line
 # is None where the line is accepted.

@@ -1,5 +1,6 @@
 """Batch samplers, training loop smoke, and resumable checkpointing."""
 
+import hashlib
 import math
 import os
 import tracemalloc
@@ -13,7 +14,7 @@ from conftest import (TOY_DENOISER_CONFIG, conv2d_reference,
 from rangegen import autodiff as ad
 from rangegen import diffusion, forge, toy, training
 from rangegen.checkpoint import read_checkpoint, write_checkpoint
-from rangegen.denoiser import init_denoiser
+from rangegen.denoiser import DenoiserConfig, init_denoiser
 from rangegen.errors import ConfigError
 from rangegen.optim import AdamW
 
@@ -255,7 +256,11 @@ def test_train_bit_identical_with_reference_kernels(tmp_path, monkeypatch):
     # A fast guard for kernel and closure rewrites: five toy steps with the
     # shipped convolution, upsampling, SiLU and layer norm must give the
     # same loss bits and parameter bytes as the conftest references (the
-    # plain conv lowering, and closures that keep the gate and xhat).
+    # plain conv lowering, and closures that keep the gate and xhat, with
+    # the fused norm-SiLU op as the reference SiLU of the reference norm).
+    # The shipped side runs twice: as shipped, where no toy array reaches
+    # the tile floor, and with the floor lowered so that the memory-bound
+    # ops run in tiles.
     def run(name):
         cfg, params, sched, data_dir, index, specs = _toy_pipeline(
             tmp_path / name, 2)
@@ -268,6 +273,18 @@ def test_train_bit_identical_with_reference_kernels(tmp_path, monkeypatch):
                 {n: p.data.tobytes() for n, p in params.items()})
 
     shipped = run("shipped")
+    tiles = []
+    each_tile = ad._each_tile
+
+    def counted_tiles(fn, arrays, axis, nbytes):
+        tiles.append(nbytes >= ad._TILE_BYTES)
+        return each_tile(fn, arrays, axis, nbytes)
+
+    monkeypatch.setattr(ad, "_each_tile", counted_tiles)
+    monkeypatch.setattr(ad, "_TILE_BYTES", 4096)
+    assert run("tiled") == shipped
+    assert sum(tiles) > 100
+    monkeypatch.undo()
     calls = []
 
     def counted(fn):
@@ -283,6 +300,55 @@ def test_train_bit_identical_with_reference_kernels(tmp_path, monkeypatch):
     assert run("reference") == shipped
     assert {"conv2d_reference", "upsample2x_reference", "silu_reference",
             "layer_norm_reference"} <= set(calls)
+
+
+def test_wide_step_bit_identical_inline_tiled_and_blocked(monkeypatch):
+    # One training forward and backward at paper widths on 32x256, batch 2:
+    # the full-resolution activations reach the tile floor and the decoder's
+    # convolutions split into blocks. All ops inline must give the loss and
+    # gradient bits of the shipped tiles, at the shipped block limit and at
+    # 4 MiB.
+    cfg = DenoiserConfig(widths=(32, 64, 128), attn_stages=(2, 3),
+                         cdfm_stages=(3,), num_domains=2)
+    tiled, blocks = [], []
+    each_tile, make_blocks = ad._each_tile, ad._blocks
+
+    def count_tiles(fn, arrays, axis, nbytes):
+        tiled.append(nbytes >= ad._TILE_BYTES)
+        return each_tile(fn, arrays, axis, nbytes)
+
+    def count_blocks(*args):
+        blocks.append(list(make_blocks(*args)))
+        return iter(blocks[-1])
+
+    monkeypatch.setattr(ad, "_each_tile", count_tiles)
+    monkeypatch.setattr(ad, "_blocks", count_blocks)
+
+    def step(tile_bytes, block_bytes):
+        monkeypatch.setattr(ad, "_TILE_BYTES", tile_bytes)
+        monkeypatch.setattr(ad, "_BLOCK_BYTES", block_bytes)
+        tiled.clear()
+        blocks.clear()
+        params = init_denoiser(cfg, np.random.default_rng(0), dtype=np.float32)
+        rng = np.random.default_rng(1)
+        x0 = rng.uniform(-1.0, 1.0, (2, 2, 32, 256)).astype(np.float32)
+        zc = rng.standard_normal((2, cfg.token_count, cfg.cond_dim)).astype(
+            np.float32)
+        loss = diffusion.diffusion_loss(params, cfg, diffusion.cosine_schedule(
+            1024), x0, zc, np.array([0, 1]), rng)
+        loss.backward()
+        digest = hashlib.sha256()
+        for name in sorted(params):
+            digest.update(params[name].grad.tobytes())
+        return float.hex(float(loss.data)), digest.hexdigest()
+
+    floor = ad._TILE_BYTES
+    inline = step(float("inf"), 16 << 20)
+    assert not any(tiled) and any(len(b) > 1 for b in blocks)
+    assert step(floor, 16 << 20) == inline
+    assert sum(tiled) > 20
+    assert step(floor, 4 << 20) == inline
+    assert sum(tiled) > 20 and any(len(b) > 2 for b in blocks)
 
 
 def test_clip_grads_scales_a_shared_gradient_once_per_parameter():
