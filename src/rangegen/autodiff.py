@@ -1,26 +1,35 @@
 """Reverse-mode autodiff over dense numpy arrays.
 
 A recorded-tape design: every operation returns a new Tensor holding the
-result plus closures that push gradients to its parents. Tensors are
-immutable after creation; ``backward()`` from a scalar loss populates
-``.grad`` on every reachable leaf (a tensor with no closure, such as a
-parameter) flagged ``requires_grad``. An op's output keeps its gradient
-only until its closure has pushed it to the parents; then ``backward()``
-sets it back to None, so a step's intermediate gradients do not pile up.
+result and, when one of its operands has ``requires_grad``, a tape node
+(``_Node``): the result's gradient slot, dtype and shape, its parents'
+nodes and the backward closure that pushes a gradient to them. A leaf (a
+tensor made directly, such as a parameter or an input) is its own node.
+Tensors are immutable after creation; ``backward()`` from a scalar loss
+populates ``.grad`` on every reachable leaf flagged ``requires_grad``. An
+op's output keeps its gradient only until its closure has pushed it to
+the parents; then ``backward()`` sets it back to None, so a step's
+intermediate gradients do not pile up. An output Tensor reads and writes
+its node's ``grad`` and ``_backward`` and reads its ``_parents``.
 
 Tests run everything in float64; training and sampling use float32 for
 speed (the sampler runs the network in its parameters' dtype), and
 checkpoints round-trip bit-exactly.
 
-Tape lifetime. An op records a tape node (its parents and backward
-closure) only when one of its operands has ``requires_grad``; otherwise
-its result is a plain Tensor with no parents and no closure. A tape
-lives from its forward pass until its training step ends: the training
-loop drops the loss after the optimizer step, checkpointing and logging,
-so the next forward pass never builds its graph beside the last one. The
-sampler needs no gradients, so it wraps each parameter's array in a plain
-``Tensor(p.data)`` (a view, without ``requires_grad``) and its forward
-passes record nothing. There is no global switch for this.
+Tape lifetime. An op records a node only when one of its operands has
+``requires_grad``; otherwise its result is a plain Tensor with no parents
+and no closure. The graph holds exactly what backward reads: a node holds
+no array, and a closure captures the arrays its backward reads, the
+shapes it needs and its parents' nodes, never a parent Tensor (the
+saved-tensor design of PyTorch's autograd, Paszke et al. 2019). So an
+activation is freed as soon as the forward code drops its Tensor, unless
+some closure reads it, and nothing is recomputed for it. A tape lives from its forward pass until its
+training step ends: the training loop drops the loss after the optimizer
+step, checkpointing and logging, so the next forward pass never builds
+its graph beside the last one. The sampler needs no gradients, so it
+wraps each parameter's array in a plain ``Tensor(p.data)`` (a view,
+without ``requires_grad``) and its forward passes record nothing. There
+is no global switch for this.
 
 Gradient ownership and layout. ``_accum`` stores a tensor's first
 gradient as is, without a copy, when it is C-contiguous and already has
@@ -36,18 +45,25 @@ and an upstream ``g`` may be a transposed view, so building a result in a
 C-ordered buffer where the plain expression would follow ``g``'s layout
 changes the last bit of later sums.
 
-What a closure keeps. A backward closure holds its parents, whose data
-the tape keeps anyway, its own output, and beyond them only what it
-cannot cheaply rebuild from that data (Chen et al. 2016 trade memory for
-recomputation the same way): ``layer_norm`` keeps its per-position mean
-and inverse deviation (1/C of its input) and rebuilds ``xhat``, ``silu``
-recomputes its gate, and ``conv2d`` re-pads its input. A rebuilt value
-comes from the same expression on the same data, so it has the bits and
-layout the forward pass's value had, and no gradient changes. The fused
-``layer_norm(..., silu=True)`` goes one step further (as InPlace-ABN, Rota
-Bulò et al. 2018, does for batch norm): it keeps no norm output at all
-and rebuilds ``xhat``, the affine output and the gate from its mean and
-inverse deviation, so the tape holds one activation fewer per call.
+What a closure keeps. Only what its backward reads, and of an operand
+only what the other operands' gradients read: ``add``, ``tsum``,
+``reshape``, ``transpose``, ``concat``, ``narrow``, ``embedding`` and
+``upsample2x`` keep no operand data, only shapes and dtypes; ``mul`` and
+``matmul`` keep each operand whose partner needs a gradient; ``power``,
+``silu``, ``softplus``, ``layer_norm`` (its input) and ``conv2d`` (input
+and kernel) keep inputs; ``exp``, ``tanh`` and ``recurrence`` keep their
+own output (``recurrence`` its ``abar`` too). Beyond that a closure keeps
+only what it cannot cheaply rebuild from what it reads (Chen et al. 2016
+trade memory for recomputation the same way): ``layer_norm`` keeps its
+per-position mean and inverse deviation (1/C of its input) and rebuilds
+``xhat``, ``silu`` recomputes its gate, and ``conv2d`` re-pads its input.
+A rebuilt value comes from the same expression on the same data, so it
+has the bits and layout the forward pass's value had, and no gradient
+changes. The fused ``layer_norm(..., silu=True)`` goes one step further
+(as InPlace-ABN, Rota Bulò et al. 2018, does for batch norm): it keeps no
+norm output at all and rebuilds ``xhat``, the affine output and the gate
+from its mean and inverse deviation. ``narrow`` and ``embedding`` build
+their C-ordered gradients from the shape and dtype alone.
 
 Convolution is lowered to matrix products (im2col, Chellapilla et al.
 2006). ``_pad_conv`` fills one new buffer with the input, ph zero rows
@@ -149,14 +165,13 @@ from .errors import ConfigError, NumericError, ShapeError
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "_grad", "_node")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data)
         self.requires_grad = bool(requires_grad)
-        self.grad = None
-        self._parents = ()
-        self._backward = None
+        self._grad = None
+        self._node = None  # the op's tape node; None for a leaf
 
     @property
     def shape(self):
@@ -165,6 +180,30 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
+
+    # A leaf keeps its own gradient; an op's output reads its node's.
+    @property
+    def grad(self):
+        return self._grad if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, g):
+        if self._node is None:
+            self._grad = g
+        else:
+            self._node.grad = g
+
+    @property
+    def _parents(self):
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward(self):
+        return None if self._node is None else self._node._backward
+
+    @_backward.setter
+    def _backward(self, fn):
+        self._node._backward = fn
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -181,12 +220,28 @@ class Tensor:
     def backward(self):
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar, got shape {self.shape}")
-        order = _toposort(self)
-        self.grad = np.ones_like(self.data)
-        for node in reversed(order):
+        root = self if self._node is None else self._node
+        root.grad = np.ones_like(self.data)
+        for node in reversed(_toposort(root)):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
                 node.grad = None  # pushed to the parents; free it now
+
+
+class _Node:
+    """An op's output on the tape: its gradient slot, dtype and shape, the
+    nodes of its parents that need a gradient, and its backward closure.
+    It holds no array, so the output's data lives only as long as its
+    Tensor or a closure that reads it."""
+    __slots__ = ("grad", "dtype", "shape", "_parents", "_backward")
+    requires_grad = True
+
+    def __init__(self, data, parents, backward):
+        self.grad = None
+        self.dtype = data.dtype
+        self.shape = data.shape
+        self._parents = parents
+        self._backward = backward
 
 
 def _toposort(root):
@@ -217,27 +272,38 @@ def _wrap(x, like=None):
     return Tensor(np.asarray(x, dtype=dtype))
 
 
+def _node_of(t):
+    """Where t's gradient goes: its op's node, t itself for a leaf with
+    ``requires_grad``, or None when t needs no gradient."""
+    if t._node is not None:
+        return t._node
+    return t if t.requires_grad else None
+
+
 def _make(data, parents, backward):
+    """The op's output Tensor, with a node on the tape when any of the
+    parent nodes (as `_node_of` gives them) is not None. `backward` may
+    read only what it captured, never a parent Tensor."""
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    parents = tuple(filter(None, parents))  # a node or a Tensor is true
+    if parents:
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
+        out._node = _Node(out.data, parents, backward)
     return out
 
 
 def _accum(t, g):
-    """Add gradient `g` into `t.grad` (see the module docstring's ownership
-    rule: a C-ordered first gradient of the right dtype is stored as is, and
-    nothing ever writes into a stored gradient)."""
-    if not t.requires_grad:
+    """Add gradient `g` into `t.grad` for the node t, if any (see the module
+    docstring's ownership rule: a C-ordered first gradient of the right
+    dtype is stored as is, and nothing ever writes into a stored gradient)."""
+    if t is None:
         return
     if t.grad is None:
-        if (isinstance(g, np.ndarray) and g.dtype == t.data.dtype
+        if (isinstance(g, np.ndarray) and g.dtype == t.dtype
                 and g.flags.c_contiguous):
             t.grad = g
         else:
-            t.grad = np.array(g, dtype=t.data.dtype, copy=True)
+            t.grad = np.array(g, dtype=t.dtype, copy=True)
     else:
         out = np.empty_like(t.grad)
         axis = out.ndim - 2 if np.shape(g) == out.shape else None
@@ -427,55 +493,60 @@ def _unbroadcast(g, shape):
 def add(a, b):
     a = _wrap(a, b if isinstance(b, Tensor) else None)
     b = _wrap(b, a)
-    data = a.data + b.data
+    na, nb, sa, sb = _node_of(a), _node_of(b), a.data.shape, b.data.shape
 
     def bwd(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        _accum(na, _unbroadcast(g, sa))
+        _accum(nb, _unbroadcast(g, sb))
 
-    return _make(data, (a, b), bwd)
+    return _make(a.data + b.data, (na, nb), bwd)
 
 
 def mul(a, b):
     a = _wrap(a, b if isinstance(b, Tensor) else None)
     b = _wrap(b, a)
-    data = a.data * b.data
+    na, nb, sa, sb = _node_of(a), _node_of(b), a.data.shape, b.data.shape
+    # Each operand is kept only for its partner's gradient.
+    xa = a.data if nb is not None else None
+    xb = b.data if na is not None else None
 
     def bwd(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        if na is not None:
+            _accum(na, _unbroadcast(g * xb, sa))
+        if nb is not None:
+            _accum(nb, _unbroadcast(g * xa, sb))
 
-    return _make(data, (a, b), bwd)
+    return _make(a.data * b.data, (na, nb), bwd)
 
 
 def power(a, p):
     a = _wrap(a)
-    data = a.data ** p
+    na, x = _node_of(a), a.data
 
     def bwd(g):
-        _accum(a, g * p * a.data ** (p - 1))
+        _accum(na, g * p * x ** (p - 1))
 
-    return _make(data, (a,), bwd)
+    return _make(x ** p, (na,), bwd)
 
 
 def exp(a):
     a = _wrap(a)
-    data = np.exp(a.data)
+    na, data = _node_of(a), np.exp(a.data)
 
     def bwd(g):
-        _accum(a, g * data)
+        _accum(na, g * data)
 
-    return _make(data, (a,), bwd)
+    return _make(data, (na,), bwd)
 
 
 def tanh(a):
     a = _wrap(a)
-    data = np.tanh(a.data)
+    na, data = _node_of(a), np.tanh(a.data)
 
     def bwd(g):
-        _accum(a, g * (1.0 - data * data))
+        _accum(na, g * (1.0 - data * data))
 
-    return _make(data, (a,), bwd)
+    return _make(data, (na,), bwd)
 
 
 def _sigmoid_np(x):
@@ -510,26 +581,26 @@ def _silu_grad_np(g, x, out=None):
 
 def silu(a):
     a = _wrap(a)
-    x = a.data
+    na, x = _node_of(a), a.data
     data, = _tiled(lambda x, out: (_silu_np(x, out[0]),), (x,),
                    lambda: [(x.shape, x.dtype)])
 
     def bwd(g):
         dx, = _tiled(lambda x, g, out: (_silu_grad_np(g, x, out[0]),), (x, g),
                      lambda: [(x.shape, np.result_type(g, x))])
-        _accum(a, dx)
+        _accum(na, dx)
 
-    return _make(data, (a,), bwd)
+    return _make(data, (na,), bwd)
 
 
 def softplus(a):
     a = _wrap(a)
-    data = np.logaddexp(0.0, a.data)
+    na, x = _node_of(a), a.data
 
     def bwd(g):
-        _accum(a, g * _sigmoid_np(a.data))
+        _accum(na, g * _sigmoid_np(x))
 
-    return _make(data, (a,), bwd)
+    return _make(np.logaddexp(0.0, x), (na,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -538,15 +609,15 @@ def softplus(a):
 
 def tsum(a, axis=None, keepdims=False):
     a = _wrap(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+    na, shape = _node_of(a), a.data.shape
 
     def bwd(g):
         gg = g
         if axis is not None and not keepdims:
             gg = np.expand_dims(gg, axis)
-        _accum(a, np.broadcast_to(gg, a.data.shape))
+        _accum(na, np.broadcast_to(gg, shape))
 
-    return _make(data, (a,), bwd)
+    return _make(a.data.sum(axis=axis, keepdims=keepdims), (na,), bwd)
 
 
 def tmean(a, axis=None, keepdims=False):
@@ -559,51 +630,50 @@ def tmean(a, axis=None, keepdims=False):
 
 def reshape(a, shape):
     a = _wrap(a)
-    data = a.data.reshape(shape)
+    na, old = _node_of(a), a.data.shape
 
     def bwd(g):
-        _accum(a, g.reshape(a.data.shape))
+        _accum(na, g.reshape(old))
 
-    return _make(data, (a,), bwd)
+    return _make(a.data.reshape(shape), (na,), bwd)
 
 
 def transpose(a, axes):
     a = _wrap(a)
-    data = np.transpose(a.data, axes)
-    inv = tuple(np.argsort(axes))
+    na, inv = _node_of(a), tuple(np.argsort(axes))
 
     def bwd(g):
-        _accum(a, np.transpose(g, inv))
+        _accum(na, np.transpose(g, inv))
 
-    return _make(data, (a,), bwd)
+    return _make(np.transpose(a.data, axes), (na,), bwd)
 
 
 def concat(tensors, axis):
     tensors = [_wrap(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    nodes = [_node_of(t) for t in tensors]
+    splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
 
     def bwd(g):
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            _accum(t, piece)
+        for n, piece in zip(nodes, np.split(g, splits, axis=axis)):
+            _accum(n, piece)
 
-    return _make(data, tuple(tensors), bwd)
+    return _make(np.concatenate([t.data for t in tensors], axis=axis), nodes,
+                 bwd)
 
 
 def narrow(a, axis, start, length):
     a = _wrap(a)
+    na, shape, dtype = _node_of(a), a.data.shape, a.data.dtype
     sl = [slice(None)] * a.data.ndim
     sl[axis] = slice(start, start + length)
     sl = tuple(sl)
-    data = a.data[sl]
 
     def bwd(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape, dtype)
         full[sl] = g
-        _accum(a, full)
+        _accum(na, full)
 
-    return _make(data, (a,), bwd)
+    return _make(a.data[sl], (na,), bwd)
 
 
 def embedding(table, idx):
@@ -613,15 +683,14 @@ def embedding(table, idx):
         raise IndexError(
             f"embedding index out of range [0, {table.data.shape[0]})"
         )
-    data = table.data[idx]
+    nt, shape, dtype = _node_of(table), table.data.shape, table.data.dtype
 
     def bwd(g):
-        if table.requires_grad:
-            full = np.zeros_like(table.data)
-            np.add.at(full, idx, g)
-            _accum(table, full)
+        full = np.zeros(shape, dtype)
+        np.add.at(full, idx, g)
+        _accum(nt, full)
 
-    return _make(data, (table,), bwd)
+    return _make(table.data[idx], (nt,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -632,15 +701,18 @@ def matmul(a, b):
     a, b = _wrap(a), _wrap(b)
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul: inner extents differ, {a.shape} x {b.shape}")
-    data = np.matmul(a.data, b.data)
+    na, nb, sa, sb = _node_of(a), _node_of(b), a.data.shape, b.data.shape
+    # Each operand is kept only for its partner's gradient.
+    xa = a.data if nb is not None else None
+    xb = b.data if na is not None else None
 
     def bwd(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        _accum(a, _unbroadcast(ga, a.data.shape))
-        _accum(b, _unbroadcast(gb, b.data.shape))
+        if na is not None:
+            _accum(na, _unbroadcast(np.matmul(g, np.swapaxes(xb, -1, -2)), sa))
+        if nb is not None:
+            _accum(nb, _unbroadcast(np.matmul(np.swapaxes(xa, -1, -2), g), sb))
 
-    return _make(data, (a, b), bwd)
+    return _make(np.matmul(a.data, b.data), (na, nb), bwd)
 
 
 def softmax(a, axis=-1):
@@ -704,6 +776,8 @@ def layer_norm(x, gain, bias, axis=-1, silu=False):
     the result has the bits of silu(layer_norm(x, gain, bias, axis)).
     """
     x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
+    nx, ng, nb = _node_of(x), _node_of(gain), _node_of(bias)
+    gshape, bshape = gain.data.shape, bias.data.shape
     xd = x.data
     nd = xd.ndim
     axis %= nd
@@ -732,13 +806,13 @@ def layer_norm(x, gain, bias, axis=-1, silu=False):
             (xd, gy, mean, inv), lambda: specs(gy), axis)
         dy = fused[0] if silu else gy
         # The gain and bias sums cross tiles: whole, in the plain order.
-        if gain.requires_grad:
-            _accum(gain, p.sum(axis=others).reshape(gain.data.shape))
-        if bias.requires_grad:
-            _accum(bias, dy.sum(axis=others).reshape(bias.data.shape))
-        _accum(x, dx)
+        if ng is not None:
+            _accum(ng, p.sum(axis=others).reshape(gshape))
+        if nb is not None:
+            _accum(nb, dy.sum(axis=others).reshape(bshape))
+        _accum(nx, dx)
 
-    return _make(data, (x, gain, bias), bwd)
+    return _make(data, (nx, ng, nb), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -861,18 +935,21 @@ def conv2d(x, w, b=None, stride=1):
         raise ShapeError(f"conv2d: kernel {w.shape} is wider than 2*{W}+1")
     Hs, Ws = (H - 1) // stride + 1, (W - 1) // stride + 1
     kk = kh * kw
-    w2 = w.data.reshape(O, C * kk)
-    data = _conv_forward(_pad_conv(x.data, ph, pw), w2, kh, kw, stride,
-                         Hs, Ws)
-    parents = [x, w]
+    data = _conv_forward(_pad_conv(x.data, ph, pw), w.data.reshape(O, C * kk),
+                         kh, kw, stride, Hs, Ws)
+    nx, nw, nb = _node_of(x), _node_of(w), None
     if b is not None:
         b = _wrap(b)
         data += b.data[:, None, None]
-        parents.append(b)
+        nb = _node_of(b)
+    # The input is kept only for the kernel's gradient, and the kernel only
+    # for the input's.
+    xd = x.data if nw is not None else None
+    wd = w.data if nx is not None else None
 
     def bwd(g):
-        if w.requires_grad:
-            xp = _pad_conv(x.data, ph, pw)  # re-padded: cheaper than keeping it
+        if nw is not None:
+            xp = _pad_conv(xd, ph, pw)  # re-padded: cheaper than keeping it
             g2 = g.reshape(B, O, Hs * Ws)
             gw = np.empty((C * kk, O), np.result_type(xp, g2))
             # Blocks of batch items, and of input channels when one item's
@@ -889,27 +966,27 @@ def conv2d(x, w, b=None, stride=1):
                     for p in part:
                         gw[rows] += p
                 del part
-            _accum(w, gw.T.reshape(w.data.shape))
-        if b is not None and b.requires_grad:
-            _accum(b, g.sum(axis=(0, 2, 3)))
-        if x.requires_grad:
+            _accum(nw, gw.T.reshape(O, C, kh, kw))
+        if nb is not None:
+            _accum(nb, g.sum(axis=(0, 2, 3)))
+        if nx is not None:
             # The adjoint convolution: the stride-dilated gradient, padded
             # as the input was, convolved with the flipped, transposed kernel.
             gd = g
             if stride > 1:
                 gd = np.zeros((B, O, H, W), g.dtype)
                 gd[:, :, ::stride, ::stride] = g
-            wt = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(
-                C, O * kk)
-            _accum(x, _conv_forward(_pad_conv(gd, ph, pw), wt, kh, kw, 1,
-                                    H, W))
+            wt = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(C, O * kk)
+            _accum(nx, _conv_forward(_pad_conv(gd, ph, pw), wt, kh, kw, 1,
+                                     H, W))
 
-    return _make(data, parents, bwd)
+    return _make(data, (nx, nw, nb), bwd)
 
 
 def upsample2x(x):
     """Nearest-neighbor 2x spatial upsampling of a BCHW tensor."""
     x = _wrap(x)
+    nx = _node_of(x)
     B, C, H, W = x.data.shape
     # Columns by a repeat, rows by one broadcast copy of whole rows: twice
     # as fast as a broadcast copy of single pixels, whose inner run is 2.
@@ -925,9 +1002,9 @@ def upsample2x(x):
         np.add(g[:, :, 0::2, 0::2], 0.0, out=dx)
         dx += g[:, :, 0::2, 1::2]
         dx += g[:, :, 1::2, 0::2] + g[:, :, 1::2, 1::2]
-        _accum(x, dx)
+        _accum(nx, dx)
 
-    return _make(data, (x,), bwd)
+    return _make(data, (nx,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -940,14 +1017,15 @@ def recurrence(abar, q):
     abar, q = _wrap(abar), _wrap(q)
     if abar.data.shape != q.data.shape:
         raise ShapeError(f"recurrence: {abar.shape} vs {q.shape}")
-    h = backend.scan_forward(abar.data, q.data)
+    na, nq, ad = _node_of(abar), _node_of(q), abar.data
+    h = backend.scan_forward(ad, q.data)
 
     def bwd(g):
-        dabar, dq = backend.scan_backward(abar.data, h, g)
-        _accum(abar, dabar)
-        _accum(q, dq)
+        dabar, dq = backend.scan_backward(ad, h, g)
+        _accum(na, dabar)
+        _accum(nq, dq)
 
-    return _make(h, (abar, q), bwd)
+    return _make(h, (na, nq), bwd)
 
 
 # ---------------------------------------------------------------------------

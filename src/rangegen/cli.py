@@ -274,12 +274,22 @@ def cmd_build_data(args):
     return 0
 
 
+def _check_sampler_steps(cfg, where=""):
+    """`sample` runs sampler_steps steps of a schedule_t-step schedule."""
+    if cfg.sampler_steps > cfg.schedule_t:
+        raise ConfigError(f"{where}config key 'sampler_steps' "
+                          f"({cfg.sampler_steps}) must not exceed "
+                          f"'schedule_t' ({cfg.schedule_t})")
+
+
 def cmd_train(args):
     cfg = parse_config(args.config)
     if args.sampler:
         cfg = dataclasses.replace(cfg, sampler=args.sampler)
     if args.steps is not None:
         cfg = dataclasses.replace(cfg, train_steps=args.steps)
+    # The final checkpoint must be one that `sample` can run.
+    _check_sampler_steps(cfg)
     _check_toy_sensor(cfg)
     specs = domain_specs_from_config(cfg)
     index_path = os.path.join(cfg.data_dir, "index.tsv")
@@ -345,6 +355,7 @@ def cmd_sample(args):
             cfg, **{key: meta[key] for key in _CHECKPOINT_KEYS})
     except ConfigError as exc:
         raise ConfigError(f"{args.checkpoint}: {exc}") from None
+    _check_sampler_steps(cfg, f"{args.checkpoint}: ")
     dconf = denoiser_config_from(cfg, len(specs))
     params = init_denoiser(dconf, np.random.default_rng(0), dtype=np.float32)
     _load_params(args.checkpoint, buffers, params)

@@ -141,34 +141,35 @@ def conv2d_reference(x, w, b=None, stride=1):
     B, C, H, W = x.data.shape
     Hs, Ws = (H - 1) // stride + 1, (W - 1) // stride + 1
     xp = _pad_conv_reference(x.data, ph, pw)
-    w2 = w.data.reshape(O, C * kh * kw)
-    data = np.matmul(w2, _im2col_reference(xp, kh, kw, stride))
+    wd = w.data
+    data = np.matmul(wd.reshape(O, C * kh * kw),
+                     _im2col_reference(xp, kh, kw, stride))
     data = data.reshape(B, O, Hs, Ws)
-    parents = [x, w]
+    nx, nw, nb = ad._node_of(x), ad._node_of(w), None
     if b is not None:
         b = ad._wrap(b)
         data += b.data[:, None, None]
-        parents.append(b)
+        nb = ad._node_of(b)
 
     def bwd(g):
         g2 = g.reshape(B, O, Hs * Ws)
-        if w.requires_grad:
+        if nw is not None:
             cols = _im2col_reference(xp, kh, kw, stride)
             gw = np.matmul(cols, g2.transpose(0, 2, 1)).sum(axis=0)
-            ad._accum(w, gw.T.reshape(w.data.shape))
-        if b is not None and b.requires_grad:
-            ad._accum(b, g.sum(axis=(0, 2, 3)))
-        if x.requires_grad:
+            ad._accum(nw, gw.T.reshape(wd.shape))
+        if nb is not None:
+            ad._accum(nb, g.sum(axis=(0, 2, 3)))
+        if nx is not None:
             # The adjoint convolution: the stride-dilated gradient, padded as
             # the input was, convolved with the flipped, transposed kernel.
             gd = np.zeros((B, O, H, W), dtype=g.dtype)
             gd[:, :, ::stride, ::stride] = g
-            wt = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            wt = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
             dx = np.matmul(wt.reshape(C, O * kh * kw), _im2col_reference(
                 _pad_conv_reference(gd, ph, pw), kh, kw, 1))
-            ad._accum(x, dx.reshape(B, C, H, W))
+            ad._accum(nx, dx.reshape(B, C, H, W))
 
-    return ad._make(data, parents, bwd)
+    return ad._make(data, (nx, nw, nb), bwd)
 
 
 def conv2d_col2im_reference(w, g, H, W, stride):
@@ -203,12 +204,13 @@ def upsample2x_backward_reference(g):
 def upsample2x_reference(x):
     """Drop-in for `ad.upsample2x` with the reshape-sum backward."""
     x = ad._wrap(x)
+    nx = ad._node_of(x)
     data = x.data.repeat(2, axis=2).repeat(2, axis=3)
 
     def bwd(g):
-        ad._accum(x, upsample2x_backward_reference(g))
+        ad._accum(nx, upsample2x_backward_reference(g))
 
-    return ad._make(data, (x,), bwd)
+    return ad._make(data, (nx,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +222,13 @@ def upsample2x_reference(x):
 def silu_reference(a):
     """Drop-in for `ad.silu` that keeps its gate for backward."""
     a = ad._wrap(a)
-    s = ad._sigmoid_np(a.data)
-    data = a.data * s
+    na, x = ad._node_of(a), a.data
+    s = ad._sigmoid_np(x)
 
     def bwd(g):
-        ad._accum(a, g * (s + a.data * s * (1.0 - s)))
+        ad._accum(na, g * (s + x * s * (1.0 - s)))
 
-    return ad._make(data, (a,), bwd)
+    return ad._make(x * s, (na,), bwd)
 
 
 def layer_norm_reference(x, gain, bias, eps=1e-5, axis=-1, silu=False):
@@ -235,6 +237,7 @@ def layer_norm_reference(x, gain, bias, eps=1e-5, axis=-1, silu=False):
     if silu:
         return silu_reference(layer_norm_reference(x, gain, bias, eps, axis))
     x, gain, bias = ad._wrap(x), ad._wrap(gain), ad._wrap(bias)
+    nx, ng, nb = ad._node_of(x), ad._node_of(gain), ad._node_of(bias)
     nd = x.data.ndim
     axis %= nd
     feat = [1] * nd
@@ -250,16 +253,16 @@ def layer_norm_reference(x, gain, bias, eps=1e-5, axis=-1, silu=False):
     others = tuple(i for i in range(nd) if i != axis)
 
     def bwd(gy):
-        if gain.requires_grad:
-            ad._accum(gain, (gy * xhat).sum(axis=others).reshape(gain.data.shape))
-        if bias.requires_grad:
-            ad._accum(bias, gy.sum(axis=others).reshape(bias.data.shape))
-        if x.requires_grad:
+        if ng is not None:
+            ad._accum(ng, (gy * xhat).sum(axis=others).reshape(ng.shape))
+        if nb is not None:
+            ad._accum(nb, gy.sum(axis=others).reshape(nb.shape))
+        if nx is not None:
             d = gy * g
-            ad._accum(x, inv * (d - d.mean(axis=axis, keepdims=True)
-                                - xhat * (d * xhat).mean(axis=axis, keepdims=True)))
+            ad._accum(nx, inv * (d - d.mean(axis=axis, keepdims=True)
+                                 - xhat * (d * xhat).mean(axis=axis, keepdims=True)))
 
-    return ad._make(data, (x, gain, bias), bwd)
+    return ad._make(data, (nx, ng, nb), bwd)
 
 
 # ---------------------------------------------------------------------------

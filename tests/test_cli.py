@@ -417,6 +417,17 @@ def test_train_without_dataset_fails(tmp_path, capsys):
     assert "index" in capsys.readouterr().err
 
 
+def test_train_sampler_steps_beyond_schedule_exits_1_before_writing(
+        tmp_path, capsys):
+    # Such a run would train and then fail in `sample`.
+    cfg = _write_config(tmp_path, schedule_t="1", sampler_steps="4")
+    assert cli.main(["train", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'sampler_steps' (4)" in err and "'schedule_t' (1)" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
 @pytest.mark.parametrize("command, index_name, text", [
     ("build-data", "base.tsv", "a.olri\ttrain\nb.olri\ttrain\textra\n"),
     ("train", "index.tsv", "Fog/a.olri\tFog\ttrain\nFog/b.olri\tFog\n")],
@@ -522,6 +533,24 @@ def test_sample_under_more_domains_than_trained_exits_1(trained, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert ckpt in err and "shape" in err
+
+
+def test_sample_steps_beyond_checkpoint_schedule_exits_1(trained, tmp_path,
+                                                        capsys):
+    # The step count meets the checkpoint's schedule_t (64), not the
+    # config's, and fails before any output is written.
+    src_tmp, _ = trained
+    cfg = _write_config(tmp_path, data_dir=str(src_tmp / "data"),
+                        schedule_t="1000")
+    ckpt = str(src_tmp / "run" / "ckpt_final.olck")
+    out = tmp_path / "samples"
+    assert cli.main(["sample", "--config", cfg, "--checkpoint", ckpt,
+                     "--domain", "ToyFar", "--steps", "65",
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ckpt}: ") and err.count("\n") == 1
+    assert "'sampler_steps' (65)" in err and "'schedule_t' (64)" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, flags", [

@@ -216,15 +216,14 @@ def _buffer(a):
     return a
 
 
-def _closure_held_bytes(loss):
-    """(bytes that backward closures hold beyond every tape tensor's data,
-    bytes of the nodes' outputs), each buffer counted once."""
-    order = ad._toposort(loss)
-    tensors = {id(t): t for n in order for t in (n, *n._parents)}
-    data = {id(_buffer(t.data)) for t in tensors.values()}
-    outputs = {id(_buffer(n.data)): _buffer(n.data).nbytes for n in order}
+def _closure_held_bytes(loss, made):
+    """(bytes that backward closures hold beyond the data of every Tensor
+    in `made`, bytes of the nodes' outputs), each buffer counted once."""
+    data = {id(_buffer(t.data)) for t in made}
+    outputs = {id(_buffer(t.data)): _buffer(t.data).nbytes
+               for t in made if t._node is not None}
     held = {}
-    for node in order:
+    for node in ad._toposort(loss):
         for cell in node._backward.__closure__ or ():
             value = cell.cell_contents
             items = value if isinstance(value, (list, tuple)) else (value,)
@@ -234,11 +233,22 @@ def _closure_held_bytes(loss):
     return sum(held.values()), sum(outputs.values())
 
 
-def test_backward_closures_keep_little_beyond_the_tape():
-    # One toy training forward pass: what the closures keep besides the
-    # tensors' own data (layer norm's mean and inverse deviation) is a few
-    # percent of the tape. Keeping conv's padded input, layer norm's xhat
-    # and SiLU's gate made it about half.
+def test_backward_closures_keep_little_beyond_the_tape(monkeypatch):
+    # One toy training forward pass. A node holds no array, and a closure
+    # holds no Tensor but a leaf's: an op's output lives on only through
+    # the arrays a closure reads. What the closures keep besides the data
+    # of the pass's Tensors (layer norm's mean and inverse deviation) is a
+    # few percent of all outputs. Keeping conv's padded input, layer
+    # norm's xhat and SiLU's gate made it about half. Every Tensor made is
+    # kept alive here, so that no buffer's id is reused.
+    made = []
+    init = ad.Tensor.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(ad.Tensor, "__init__", recorded)
     cfg = TOY_DENOISER_CONFIG
     params = init_denoiser(cfg, np.random.default_rng(0), dtype=np.float32)
     rng = np.random.default_rng(1)
@@ -248,8 +258,79 @@ def test_backward_closures_keep_little_beyond_the_tape():
     dom = np.arange(8) % cfg.num_domains
     loss = diffusion.diffusion_loss(params, cfg, diffusion.cosine_schedule(64),
                                     x0, zc, dom, rng)
-    held, outputs = _closure_held_bytes(loss)
+    order = ad._toposort(loss)
+    for node in order[:-1] + [loss._node]:
+        assert type(node) is ad._Node
+        assert not any(isinstance(getattr(node, k), np.ndarray)
+                       for k in node.__slots__)
+        for cell in node._backward.__closure__ or ():
+            value = cell.cell_contents
+            items = value if isinstance(value, (list, tuple)) else (value,)
+            for t in items:
+                if isinstance(t, ad.Tensor):
+                    assert t._node is None and t.requires_grad
+    held, outputs = _closure_held_bytes(loss, made)
     assert 0 < held <= 0.05 * outputs
+
+
+def _wide_step(H, W):
+    """Loss hex and gradient hash of one training step at paper widths on
+    H x W, batch 2."""
+    cfg = DenoiserConfig(widths=(32, 64, 128), attn_stages=(2, 3),
+                         cdfm_stages=(3,), num_domains=2)
+    params = init_denoiser(cfg, np.random.default_rng(0), dtype=np.float32)
+    rng = np.random.default_rng(1)
+    x0 = rng.uniform(-1.0, 1.0, (2, 2, H, W)).astype(np.float32)
+    zc = rng.standard_normal((2, cfg.token_count, cfg.cond_dim)).astype(
+        np.float32)
+    loss = diffusion.diffusion_loss(params, cfg, diffusion.cosine_schedule(
+        1024), x0, zc, np.array([0, 1]), rng)
+    loss.backward()
+    digest = hashlib.sha256()
+    for name in sorted(params):
+        digest.update(params[name].grad.tobytes())
+    return float.hex(float(loss.data)), digest.hexdigest()
+
+
+def test_wide_step_frees_activations_that_backward_does_not_read(monkeypatch):
+    # One paper-width step at 32x128, batch 2, under tracemalloc. Only the
+    # arrays that some closure reads may outlive the forward code's use,
+    # so backward's peak must sit well below that of the same step with
+    # every op output kept alive, and every bit must be the same. A first,
+    # untraced step grows conv2d's workspace, which both runs then reuse.
+    _wide_step(32, 128)
+
+    def traced(keep_all):
+        kept = []
+        if keep_all:
+            make = ad._make
+
+            def keeping(data, parents, backward):
+                kept.append(make(data, parents, backward))
+                return kept[-1]
+
+            monkeypatch.setattr(ad, "_make", keeping)
+        backward = ad.Tensor.backward
+        peak = []
+
+        def measured(self):
+            tracemalloc.reset_peak()
+            backward(self)
+            peak.append(tracemalloc.get_traced_memory()[1])
+
+        monkeypatch.setattr(ad.Tensor, "backward", measured)
+        tracemalloc.start()
+        try:
+            result = _wide_step(32, 128)
+        finally:
+            tracemalloc.stop()
+            monkeypatch.undo()
+        return result, peak[0]
+
+    shipped, peak = traced(keep_all=False)
+    kept, peak_kept = traced(keep_all=True)
+    assert shipped == kept
+    assert peak <= 0.8 * peak_kept
 
 
 def test_train_bit_identical_with_reference_kernels(tmp_path, monkeypatch):
@@ -308,8 +389,6 @@ def test_wide_step_bit_identical_inline_tiled_and_blocked(monkeypatch):
     # convolutions split into blocks. All ops inline must give the loss and
     # gradient bits of the shipped tiles, at the shipped block limit and at
     # 4 MiB.
-    cfg = DenoiserConfig(widths=(32, 64, 128), attn_stages=(2, 3),
-                         cdfm_stages=(3,), num_domains=2)
     tiled, blocks = [], []
     each_tile, make_blocks = ad._each_tile, ad._blocks
 
@@ -329,18 +408,7 @@ def test_wide_step_bit_identical_inline_tiled_and_blocked(monkeypatch):
         monkeypatch.setattr(ad, "_BLOCK_BYTES", block_bytes)
         tiled.clear()
         blocks.clear()
-        params = init_denoiser(cfg, np.random.default_rng(0), dtype=np.float32)
-        rng = np.random.default_rng(1)
-        x0 = rng.uniform(-1.0, 1.0, (2, 2, 32, 256)).astype(np.float32)
-        zc = rng.standard_normal((2, cfg.token_count, cfg.cond_dim)).astype(
-            np.float32)
-        loss = diffusion.diffusion_loss(params, cfg, diffusion.cosine_schedule(
-            1024), x0, zc, np.array([0, 1]), rng)
-        loss.backward()
-        digest = hashlib.sha256()
-        for name in sorted(params):
-            digest.update(params[name].grad.tobytes())
-        return float.hex(float(loss.data)), digest.hexdigest()
+        return _wide_step(32, 256)
 
     floor = ad._TILE_BYTES
     inline = step(float("inf"), 16 << 20)
