@@ -110,16 +110,16 @@ kernel. So unit runs are near-equal and at least two long, and a split
 inside one item leaves blocks of several MB, whose products stay far
 above that size; a split of the batch leaves each item's GEMM as it was.
 
-Workspace ownership. The columns of the forward pass, of the weight
-gradient and of the input gradient are written into one module-level
-workspace, ``_workspace``, which grows to the largest block, at most
-``_BLOCK_BYTES`` whenever three units of a batch item fit in it, and is
-reused by every call, so the large per-call buffers cost no fresh pages.
-Only ``conv2d`` and its backward closure touch it, and only between
-entry and return: nothing else may hold a view of it, and no output or
-stored gradient aliases it. No two convolutions run at once. Within one
-call, ``_im2col``'s tile workers (below) write disjoint channel slices of
-the columns; the workspace is taken and released by the calling thread.
+Memory policy. Freeing activations during the forward pass leaves holes
+that glibc's defaults hand back to the kernel (heap trimming, and mmap
+for arrays above a threshold that tracks the largest freed one), so the
+next step's arrays land on fresh pages: about 2 700 minor faults per toy
+training step (16x64, batch 8). At import this module sets glibc's mmap
+threshold to 32 MiB, the ceiling of its own dynamic threshold, and then
+its trim threshold to 128 MiB (in that order: the trim threshold alone
+pins the mmap threshold at 128 KiB), so freed memory stays in the process
+and a steady toy step takes 1-2 faults. Each conv block's columns are a
+plain ``np.empty``.
 
 Threads. numpy's ufuncs run on one core, and about half of a paper-width
 training step is memory-bound work in them. So the SiLU forward and
@@ -153,7 +153,6 @@ GEMM keeps its bits. A forked child drops the pool and hands the jobs back.
 
 import ctypes
 import itertools
-import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -162,6 +161,18 @@ import numpy as np
 
 from . import backend
 from .errors import ConfigError, NumericError, ShapeError
+
+
+def _keep_freed_memory(libc):
+    """The module docstring's memory policy through glibc's `mallopt`; no
+    change where libc has no `mallopt` or refuses the mmap threshold."""
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is not None and mallopt(-3, 32 << 20) == 1:  # M_MMAP_THRESHOLD
+        mallopt(-1, 128 << 20)  # M_TRIM_THRESHOLD
+
+
+if os.name == "posix":
+    _keep_freed_memory(ctypes.CDLL(None))
 
 
 class Tensor:
@@ -845,22 +856,9 @@ def _wrap_rows(rows, x):
         rows[..., pw + W:] = x[..., :pw]
 
 
-# conv2d's scratch memory for the columns of its three lowerings, and the
-# most of it that one block of a convolution may take; see the module
-# docstring's ownership and block rules.
-_workspace = np.empty(0, dtype=np.uint8)
+# The most memory the columns of one block of a convolution may take; see
+# the module docstring's block rules.
 _BLOCK_BYTES = 16 << 20
-
-
-def _scratch(shape, dtype):
-    """A C-ordered array of `shape` over the start of the shared workspace,
-    valid until the next call. The workspace grows to the largest request."""
-    global _workspace
-    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-    if _workspace.nbytes < nbytes:
-        _workspace = None  # free the smaller buffer before taking the larger
-        _workspace = np.empty(nbytes, dtype=np.uint8)
-    return np.ndarray(shape, dtype, _workspace)
 
 
 def _blocks(B, n, unit_bytes):
@@ -882,7 +880,7 @@ def _blocks(B, n, unit_bytes):
 def _im2col(xp, kh, kw, stride, bs=_ALL, cs=_ALL, hs=_ALL):
     """Columns (b, c*kh*kw, h*Ws) of the padded input for batch items `bs`,
     channels `cs` and output rows `hs`, channel-major, copied from one
-    strided (B, C, kh, kw, Hs, Ws) window view of `xp` into the workspace.
+    strided (B, C, kh, kw, Hs, Ws) window view of `xp` into a new array.
     A 1x1 stride-1 kernel's columns are a view of `xp` itself."""
     B, C, Hp, Wp = xp.shape
     if kh == kw == stride == 1:
@@ -893,7 +891,7 @@ def _im2col(xp, kh, kw, stride, bs=_ALL, cs=_ALL, hs=_ALL):
     win = np.ndarray((B, C, kh, kw, Hs, Ws), xp.dtype, xp, 0,
                      (sB, sC, sH, sW, stride * sH, stride * sW))
     win = win[bs, cs, :, :, hs]
-    cols = _scratch(win.shape, xp.dtype)
+    cols = np.empty(win.shape, xp.dtype)
     b, c, _, _, h, _ = win.shape
     # Tiles of channels, by the size of one item's columns: a block of many
     # small items (a toy-shape batch) copies inline.

@@ -269,6 +269,8 @@ def cmd_build_data(args):
         print(f"  {dom}: {count}")
     for dom, path, reason in summary["skipped"]:
         print(f"  skipped [{dom}] {path}: {reason}")
+    if summary["removed"]:
+        print(f"  removed {summary['removed']} stale scans")
     with open(os.path.join(cfg.data_dir, "summary.json"), "w") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
     return 0

@@ -395,7 +395,10 @@ def build_dataset(base, specs, out_dir, seed):
 
     `base` maps base-corpus keys (vehicle/drone/quadruped) to lists of
     (olri path, split). Returns (DatasetIndex, summary dict). Output is
-    a pure function of the corpus bytes, the specs, and the seed.
+    a pure function of the corpus bytes, the specs, and the seed: scans
+    that an earlier build left in a domain directory and the new index
+    does not list are removed (never a base input), and the summary's
+    "removed" counts them.
     """
     os.makedirs(out_dir, exist_ok=True)
     index = DatasetIndex()
@@ -430,4 +433,15 @@ def build_dataset(base, specs, out_dir, seed):
     # A domain whose every scan was skipped still reports its 0.
     summary["counts"] = {spec.id: 0 for spec in specs} | index.counts()
     index.save(os.path.join(out_dir, "index.tsv"))
+    keep = {os.path.realpath(p) for entries in base.values() for p, _ in entries}
+    keep |= {os.path.realpath(os.path.join(out_dir, rel))
+             for rel, _, _ in index.records}
+    summary["removed"] = 0
+    for spec in specs:
+        dom_dir = os.path.join(out_dir, spec.id)
+        for name in os.listdir(dom_dir):
+            path = os.path.join(dom_dir, name)
+            if name.endswith(".olri") and os.path.realpath(path) not in keep:
+                os.remove(path)
+                summary["removed"] += 1
     return index, summary

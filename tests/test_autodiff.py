@@ -346,8 +346,8 @@ def test_conv2d_matches_reference_lowering_bitwise(monkeypatch, stride, k, W,
     # W is an image width that fits one block, or a block limit below the
     # columns of the whole batch ("batch": five small items, two per block
     # of the largest lowering) or of one item ("item": row tiles and channel
-    # blocks). Blocked, the last block is ragged and the workspace stays
-    # within the limit.
+    # blocks). Blocked, the last block is ragged and every block's copied
+    # columns stay within the limit.
     split = W if W in ("batch", "item") else None
     B, C, H, O = 2, 3, 5, 4
     if split == "batch":
@@ -357,7 +357,7 @@ def test_conv2d_matches_reference_lowering_bitwise(monkeypatch, stride, k, W,
     x, w, b, g = _conv_case(W + 10 * k + stride, k, stride, W, dtype, layout,
                             B=B, C=C, H=H, O=O)
     ref = _conv_run(conv2d_reference, x, w, b, stride, g)
-    seen = []
+    seen, copied = [], []
     if split:
         # Columns per item: the forward's and the weight gradient's, and the
         # input gradient's (over the dilated gradient, none for a 1x1 kernel).
@@ -369,20 +369,27 @@ def test_conv2d_matches_reference_lowering_bitwise(monkeypatch, stride, k, W,
         else:
             limit = 2 * item // 5
         monkeypatch.setattr(ad, "_BLOCK_BYTES", limit)
-        monkeypatch.setattr(ad, "_workspace", np.empty(0, dtype=np.uint8))
-        shipped_blocks = ad._blocks
+        shipped_blocks, shipped_im2col = ad._blocks, ad._im2col
 
         def recorded_blocks(*args):
             seen.append(list(shipped_blocks(*args)))
             return seen[-1]
 
+        def recorded_im2col(xp, *args):
+            cols = shipped_im2col(xp, *args)
+            if not np.may_share_memory(cols, xp):  # 1x1 columns: a view
+                copied.append(cols.nbytes)
+            return cols
+
         monkeypatch.setattr(ad, "_blocks", recorded_blocks)
+        monkeypatch.setattr(ad, "_im2col", recorded_im2col)
     got = _conv_run(ad.conv2d, x, w, b, stride, g)
     for a, r in zip(got, ref):
         assert a.dtype == r.dtype and a.shape == r.shape
         assert np.array_equal(bits(a), bits(r))
     if split:
-        assert ad._workspace.nbytes <= limit
+        assert max(copied, default=0) <= limit
+        assert copied or k == stride == 1
         forward, wgrad, xgrad = seen
         if split == "batch":
             # Whole items only; the largest lowering takes two per block.
@@ -409,10 +416,9 @@ def test_conv2d_input_grad_matches_col2im(stride, k, W):
 
 
 @pytest.mark.parametrize("first_bigger", [False, True])
-def test_conv2d_workspace_reuse_keeps_gradients(monkeypatch, first_bigger):
-    # Conv A's backward runs after conv B has used (and maybe grown) the
-    # workspace; A keeps no view of it, so its gradients are unchanged.
-    monkeypatch.setattr(ad, "_workspace", np.empty(0, dtype=np.uint8))
+def test_conv2d_interleaved_backward_keeps_gradients(first_bigger):
+    # Conv A's backward runs after conv B's forward and backward; A keeps
+    # nothing that B's calls write, so its gradients are unchanged.
     small = _conv_case(1, 3, 1, 8, np.float32)
     big = _conv_case(2, 3, 2, 64, np.float32)
     case_a, case_b = (big, small) if first_bigger else (small, big)
@@ -429,7 +435,36 @@ def test_conv2d_workspace_reuse_keeps_gradients(monkeypatch, first_bigger):
     for out, ts, alone in ((out_a, ta, alone_a), (out_b, tb, alone_b)):
         for a, r in zip([out.data] + [t.grad for t in ts], alone):
             assert np.array_equal(bits(a), bits(r))
-            assert not np.shares_memory(a, ad._workspace)
+
+
+class _Libc:
+    """A C library whose `mallopt` records each call and accepts those of
+    the parameters in `accepted`."""
+
+    def __init__(self, accepted):
+        self.calls, self.accepted = [], accepted
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return int(param in self.accepted)
+
+
+@pytest.mark.parametrize("accepted, calls", [
+    ((-3, -1), [(-3, 32 << 20), (-1, 128 << 20)]),
+    ((-1,), [(-3, 32 << 20)]),
+    ((), [(-3, 32 << 20)])])
+def test_memory_policy_sets_trim_threshold_only_after_mmap_threshold(
+        accepted, calls):
+    # M_MMAP_THRESHOLD (-3) first; M_TRIM_THRESHOLD (-1) only if that was
+    # accepted, since the trim threshold alone would pin glibc's mmap
+    # threshold at 128 KiB.
+    libc = _Libc(accepted)
+    ad._keep_freed_memory(libc)
+    assert libc.calls == calls
+
+
+def test_memory_policy_without_mallopt_does_nothing():
+    ad._keep_freed_memory(object())  # another C library: no call, no error
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

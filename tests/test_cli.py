@@ -4,6 +4,7 @@ import argparse
 import ast
 import dataclasses
 import glob
+import json
 import os
 import re
 import shutil
@@ -164,6 +165,29 @@ def test_build_data_toy_two_domains_and_determinism(tmp_path, capsys):
     assert domains == {"ToyNear", "ToyFar"}
     assert cli.main(["build-data", "--config", cfg]) == 0
     assert index_path.read_bytes() == first
+
+
+def test_build_data_rebuild_with_fewer_scans_removes_stale_ones(tmp_path,
+                                                               capsys):
+    # 4, then 2 toy scans per domain into one data_dir: each domain
+    # directory then holds only the scans index.tsv lists, so
+    # `eval --reference data/ToyNear` reads none of the first build's.
+    cfg = _write_config(tmp_path, toy_scans=4)
+    assert cli.main(["build-data", "--config", cfg]) == 0
+    cfg = _write_config(tmp_path, toy_scans=2)
+    capsys.readouterr()
+    assert cli.main(["build-data", "--config", cfg]) == 0
+    assert "removed 4 stale scans" in capsys.readouterr().out
+    data = tmp_path / "data"
+    index = forge.DatasetIndex.load(str(data / "index.tsv"))
+    for dom in ("ToyNear", "ToyFar"):
+        listed = sorted(rel for rel, d, _ in index.records if d == dom)
+        assert len(listed) == 2
+        assert sorted(f"{dom}/{name}" for name in os.listdir(data / dom)) \
+            == listed
+    summary = json.loads((data / "summary.json").read_text())
+    assert summary["counts"] == {"ToyFar": 2, "ToyNear": 2}
+    assert summary["removed"] == 4
 
 
 def test_build_data_missing_base_names_path(tmp_path, capsys):

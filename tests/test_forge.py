@@ -428,6 +428,25 @@ def test_build_dataset_all_scans_off_grid_counts_zero(tmp_path):
     assert len(summary["skipped"]) == 2
 
 
+def test_build_dataset_removes_stale_scans_but_never_a_base_input(tmp_path):
+    # A scan that an earlier build left in a domain directory, and that the
+    # new index does not list, is removed. A base input that sits there
+    # stays, even one the build skipped, and so do files that are not scans.
+    rng = np.random.default_rng(18)
+    dom_dir = tmp_path / "out" / "Vehicle"
+    dom_dir.mkdir(parents=True)
+    base = _grid_corpus(dom_dir, rng, [(16, 64), (8, 64)])
+    (dom_dir / "old.olri").write_bytes(b"")
+    (dom_dir / "notes.txt").write_text("kept")
+    spec = forge.DomainSpec(id="Vehicle", prompt_pool=("p",), sensor=CFG)
+    index, summary = forge.build_dataset(base, [spec], str(tmp_path / "out"), 0)
+    assert summary["removed"] == 1 and summary["counts"] == {"Vehicle": 1}
+    assert sorted(os.listdir(dom_dir)) == [
+        "notes.txt", "scan_0_16x64.olri", "scan_1_8x64.olri"]
+    _, summary = forge.build_dataset(base, [spec], str(tmp_path / "out"), 0)
+    assert summary["removed"] == 0
+
+
 def test_text_that_is_not_utf8_names_file_and_byte(tmp_path):
     # Past the first 8 KiB, where text-mode reads report a chunk offset.
     path = tmp_path / "index.tsv"

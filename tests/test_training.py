@@ -1,8 +1,13 @@
 """Batch samplers, training loop smoke, and resumable checkpointing."""
 
+import ctypes
 import hashlib
+import json
 import math
 import os
+import statistics
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -297,7 +302,8 @@ def test_wide_step_frees_activations_that_backward_does_not_read(monkeypatch):
     # arrays that some closure reads may outlive the forward code's use,
     # so backward's peak must sit well below that of the same step with
     # every op output kept alive, and every bit must be the same. A first,
-    # untraced step grows conv2d's workspace, which both runs then reuse.
+    # untraced step starts the tile workers and sizes the heap, so that
+    # neither traced run pays for them.
     _wide_step(32, 128)
 
     def traced(keep_all):
@@ -331,6 +337,44 @@ def test_wide_step_frees_activations_that_backward_does_not_read(monkeypatch):
     kept, peak_kept = traced(keep_all=True)
     assert shipped == kept
     assert peak <= 0.8 * peak_kept
+
+
+# Twelve toy training steps (batch 8) in a fresh process, printing the
+# process's minor page faults after each step.
+_FAULTS_PER_STEP = """
+import json, pathlib, resource, sys
+from rangegen import training
+from test_training import _toy_pipeline
+cfg, params, sched, data_dir, index, specs = _toy_pipeline(
+    pathlib.Path(sys.argv[1]), 6)
+faults = []
+training.train(params, cfg, sched, data_dir, index, specs, steps=12, seed=0,
+               batch_size=8, lr=1e-3, weight_decay=0.0, sampler="cdts",
+               out_dir=sys.argv[1] + "/run", ckpt_every=12, log_every=1,
+               log_fn=lambda step, loss: faults.append(
+                   resource.getrusage(resource.RUSAGE_SELF).ru_minflt))
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(os.name != "posix" or not hasattr(ctypes.CDLL(None),
+                                                      "mallopt"),
+                    reason="the memory policy needs glibc's mallopt")
+def test_steady_toy_step_faults_in_almost_no_fresh_pages(tmp_path):
+    # autodiff's memory policy keeps freed memory in the process, so after
+    # three warm-up steps a toy step takes a few minor page faults, against
+    # 2 400-3 000 with glibc's default thresholds. A fresh process keeps the
+    # pytest process's heap out of the count.
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(training.__file__)), tests]))
+    out = subprocess.run([sys.executable, "-c", _FAULTS_PER_STEP,
+                          str(tmp_path)], env=env, capture_output=True,
+                         text=True, check=True, timeout=300).stdout
+    faults = json.loads(out.splitlines()[-1])
+    per_step = [b - a for a, b in zip(faults, faults[1:])]
+    assert len(per_step) == 11
+    assert statistics.median(per_step[3:]) <= 50
 
 
 def test_train_bit_identical_with_reference_kernels(tmp_path, monkeypatch):
