@@ -65,114 +65,15 @@ norm output at all and rebuilds ``xhat``, the affine output and the gate
 from its mean and inverse deviation. ``narrow`` and ``embedding`` build
 their C-ordered gradients from the shape and dtype alone.
 
-Convolution is lowered to matrix products (im2col, Chellapilla et al.
-2006). ``_pad_conv`` fills one new buffer with the input, ph zero rows
-above and below and pw wrapped azimuth columns on each side (a 1x1
-kernel pads nothing and uses the input as is). The padded input ``xp``
-of shape (B, C, Hp, Wp) is unfolded into columns of shape
-(B, C*kh*kw, Hs*Ws), channel-major: row ``(c, i, j)`` holds
-``xp[:, c, i + stride*h, j + stride*w]`` for every output pixel
-``(h, w)``. ``_im2col`` copies them from one strided
-(B, C, kh, kw, Hs, Ws) view of ``xp``. ``_conv_forward`` then takes one
-matmul per batch item with the (O, C*kh*kw) kernel matrix, whose
-(B, O, Hs*Ws) result is already contiguous BCHW. Backward takes the
-weight gradient as ``(cols @ g^T)^T`` summed over the batch. The columns
-are kh*kw times the size of the input, so backward rebuilds them (and
-``xp``) from the input rather than keeping them on the tape.
-
-Input gradient by the adjoint convolution (Dumoulin & Visin 2016).
-Backward runs ``_conv_forward`` a second time, at stride 1: over ``gd``,
-the (B, O, H, W) gradient dilated by the stride (``g`` itself at stride
-1, else zeros with ``g`` at every stride-th row and column), padded as
-the input was, with the flipped, transposed (C, O, kh, kw) kernel
-``w[:, :, ::-1, ::-1]``. Input pixel (y, x) then collects
-``w[o, c, i, j] * g[o, h, w]`` exactly when ``i + stride*h = y + ph`` and
-``j + stride*w = x + pw`` modulo W, the forward's own pairing of input
-and output pixels: zero rows and wrapped azimuth columns are their own
-adjoint under a flipped kernel, at odd widths too, so nothing is cropped
-or folded afterwards, and the input gradient needs no lowering of its own.
-
-Blocks. ``conv2d`` builds its columns one block at a time, each within
-``_BLOCK_BYTES`` (16 MiB), so its memory does not grow with B*H*W*C; a
-convolution that fits takes one block and runs as if unblocked.
-``_blocks`` splits the batch first, and the units of one batch item
-(output rows in ``_conv_forward``, input channels for the weight
-gradient) only when that item's share does not fit. Blocking keeps every
-summation order. A row tile computes whole output pixels, each still a
-sum over all of its kernel matrix's columns; a channel block computes
-whole rows of the weight gradient, each a sum over all pixels; and the
-batch sum of the weight gradient runs in item order across blocks.
-What blocking changes is the shape of each GEMM, which BLAS must not
-round differently: OpenBLAS sends a one-row product to a matrix-vector
-kernel and, on some CPUs, a product of at most 10^6 multiply-adds to a
-small-matrix kernel, and both sum in another order than its general
-kernel. So unit runs are near-equal and at least two long, and a split
-inside one item leaves blocks of several MB, whose products stay far
-above that size; a split of the batch leaves each item's GEMM as it was.
-
-Memory policy. Freeing activations during the forward pass leaves holes
-that glibc's defaults hand back to the kernel (heap trimming, and mmap
-for arrays above a threshold that tracks the largest freed one), so the
-next step's arrays land on fresh pages: about 2 700 minor faults per toy
-training step (16x64, batch 8). At import this module sets glibc's mmap
-threshold to 32 MiB, the ceiling of its own dynamic threshold, and then
-its trim threshold to 128 MiB (in that order: the trim threshold alone
-pins the mmap threshold at 128 KiB), so freed memory stays in the process
-and a steady toy step takes 1-2 faults. Each conv block's columns are a
-plain ``np.empty``.
-
-Threads. numpy's ufuncs run on one core, and about half of a paper-width
-training step is memory-bound work in them. So the SiLU forward and
-backward, ``layer_norm``'s forward and input gradient (fused SiLU tail
-included), ``_pad_conv``, ``_im2col``'s copy and ``_accum``'s out-of-place
-add split their arrays into tiles, run by the calling thread and the
-workers of one module-level pool: min(cores, ``_MAX_THREADS``) threads in
-all, the caller included, made on first use, so the pool never starts a
-thread beyond the cores it may run on. Arrays below ``_TILE_BYTES`` (2 MiB)
-run whole and inline, by the same function; for ``_im2col`` the size is
-that of one batch item's columns, so that a block of many small items (a
-toy-shape batch) copies inline too. A tile is a run of rows of H (of the
-sequence axis for a (B, L, C) norm, of channels for ``_im2col``), about
-``_TILE_BYTES`` / 2 bytes. Only elementwise work and per-position
-reductions over the norm's own axis are tiled: each output element is
-computed from the same inputs by the same expression whatever the tiling,
-so it has the same bits, and a tiled output takes the C order the whole
-expression gives a C-ordered input (an input in any other layout runs
-whole). Sums across positions stay whole and in their old order:
-``layer_norm``'s gain and bias gradients, ``conv2d``'s bias gradient and
-``_unbroadcast``, since tiling them would change their summation order.
-A tile worker touches only numpy and private helpers, never a public
-function of this package, which a tracer may wrap without being
-thread-safe. OpenBLAS's own threads spin for about 0.1 s after each call,
-each holding a core, so between a training step's GEMMs the tiles would
-find no free core; when the pool is made, it takes over OpenBLAS's thread
-jobs through ``openblas_set_threads_callback_function`` (OpenBLAS 0.3.27
-and later). The jobs are the ones OpenBLAS's threads would run, so every
-GEMM keeps its bits. A forked child drops the pool and hands the jobs back.
+The numpy kernels the ops run (SiLU, the norm, the convolution lowering,
+the scan recurrence) and the worker pool that tiles them are in
+``backend``, whose docstring gives their rules.
 """
-
-import ctypes
-import itertools
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import backend
 from .errors import ConfigError, NumericError, ShapeError
-
-
-def _keep_freed_memory(libc):
-    """The module docstring's memory policy through glibc's `mallopt`; no
-    change where libc has no `mallopt` or refuses the mmap threshold."""
-    mallopt = getattr(libc, "mallopt", None)
-    if mallopt is not None and mallopt(-3, 32 << 20) == 1:  # M_MMAP_THRESHOLD
-        mallopt(-1, 128 << 20)  # M_TRIM_THRESHOLD
-
-
-if os.name == "posix":
-    _keep_freed_memory(ctypes.CDLL(None))
 
 
 class Tensor:
@@ -318,172 +219,9 @@ def _accum(t, g):
     else:
         out = np.empty_like(t.grad)
         axis = out.ndim - 2 if np.shape(g) == out.shape else None
-        _each_tile(np.add, (t.grad, g, out), axis, out.nbytes)
+        backend._each_tile(np.add, (t.grad, g, out), axis, out.nbytes)
         t.grad = out
 
-
-# The worker threads, shared by the tiles of the memory-bound ops and by
-# OpenBLAS's GEMM jobs (see the module docstring's thread rules): the size
-# from which an op is split into tiles, and the most threads in all.
-_TILE_BYTES = 2 << 20
-_MAX_THREADS = 8
-_ALL = slice(None)
-_threads = 0     # threads in all, the caller's included; set on first use
-_pool = None     # the _threads - 1 workers beside the caller, None on one core
-_blas_lock = threading.Lock()
-_blas_callback = None  # kept alive while OpenBLAS holds a pointer to it
-_JOB = ctypes.CFUNCTYPE(None, ctypes.c_int, ctypes.c_void_p, ctypes.c_int)
-_JOBS = ctypes.CFUNCTYPE(None, ctypes.c_int, _JOB, ctypes.c_int,
-                         ctypes.c_size_t, ctypes.c_void_p, ctypes.c_int)
-
-
-def _tile_pool():
-    """The workers, made on first use: min(cores, _MAX_THREADS) threads in
-    all, the calling thread being one of them. Making them hands OpenBLAS's
-    thread jobs to them as well."""
-    global _threads, _pool
-    if not _threads:
-        cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                 else os.cpu_count() or 1)
-        _threads = min(cores, _MAX_THREADS)
-        if _threads > 1:
-            _pool = ThreadPoolExecutor(_threads - 1, "rangegen-tile")
-            _blas_on_pool(True)
-            os.register_at_fork(after_in_child=_forget_pool)
-    return _pool
-
-
-def _forget_pool():
-    """In a forked child, where the parent's workers do not run: no pool,
-    and OpenBLAS's jobs back on its own threads."""
-    global _threads, _pool
-    _threads, _pool = 0, None
-    _blas_on_pool(False)
-
-
-def _openblas():
-    """(set_threads_callback_function, get_num_threads, set_num_threads) of
-    the OpenBLAS this process loaded, or None: another BLAS, an OpenBLAS
-    older than 0.3.27, or no /proc/self/maps."""
-    try:
-        with open("/proc/self/maps") as f:
-            paths = sorted({line.split()[-1] for line in f
-                            if "openblas" in line.lower()})
-    except OSError:
-        return None
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for prefix, suffix in (("scipy_", "64_"), ("", "64_"), ("", "")):
-            names = [f"{prefix}openblas_{name}{suffix}" for name in (
-                "set_threads_callback_function", "get_num_threads",
-                "set_num_threads")]
-            if all(hasattr(lib, name) for name in names):
-                return [getattr(lib, name) for name in names]
-    return None
-
-
-def _blas_on_pool(on):
-    """Run OpenBLAS's thread jobs on the workers (on), or on its own threads.
-
-    OpenBLAS's own threads spin for about 0.1 s after each of its calls,
-    each holding a core, so a training step's GEMMs would keep one core
-    from the tiles between them. Its jobs are the same either way, so every
-    GEMM keeps its bits; at most _threads of them, so that all of one
-    call's can run at once.
-    """
-    global _blas_callback
-    fns = _openblas()
-    if fns is None:
-        return
-    set_callback, get_threads, set_threads = fns
-    set_callback.argtypes = [_JOBS]
-    set_threads.argtypes = [ctypes.c_int]
-    _blas_callback = _JOBS(_blas_jobs) if on else _JOBS()  # else NULL
-    if on and get_threads() > _threads:
-        set_threads(_threads)
-    set_callback(_blas_callback)
-
-
-def _blas_jobs(sync, job, n, size, data, arg):
-    """OpenBLAS's threads callback: its n jobs of one call, all at once, job
-    0 on the calling thread and the others on the workers, returning when
-    all are done. The jobs of one call wait on each other, so one call runs
-    at a time, and a job the workers cannot take at once (more jobs than
-    workers, or a pool shut down at exit) gets a thread of its own."""
-    with _blas_lock:
-        waits = []
-        for i in range(1, n):
-            args = (i, data + i * size, arg)
-            try:
-                if i < _threads:
-                    waits.append(_pool.submit(job, *args).result)
-                    continue
-            except RuntimeError:
-                pass
-            t = threading.Thread(target=job, args=args)
-            t.start()
-            waits.append(t.join)
-        job(0, data, arg)
-        for wait in waits:
-            wait()
-
-
-def _each_tile(fn, arrays, axis, nbytes):
-    """fn(*arrays) in tiles: fn(*(a[i] for a in arrays)) for index tuples i
-    that cover the arrays' common extent along `axis`.
-
-    Below _TILE_BYTES, or with no axis to split (None or negative), this is
-    one inline call fn(*arrays). Otherwise the tiles are runs of the axis of
-    about _TILE_BYTES / 2 each (an op at the floor makes two), taken in turn
-    by the calling thread and the workers. `fn` may only touch numpy and
-    private helpers.
-    """
-    if nbytes < _TILE_BYTES or axis is None or axis < 0:
-        fn(*arrays)
-        return
-    n = arrays[0].shape[axis]
-    step = max(1, n * _TILE_BYTES // (2 * nbytes))
-    tiles = [(_ALL,) * axis + (slice(k, k + step),) for k in range(0, n, step)]
-    take = itertools.count()  # one next() at a time, under the GIL
-
-    def drain():
-        for k in take:
-            if k >= len(tiles):
-                return
-            fn(*(a[tiles[k]] for a in arrays))
-
-    pool = _tile_pool()
-    futures = [pool.submit(drain) for _ in range(_threads - 1)] if pool else []
-    try:
-        drain()
-    finally:
-        for f in futures:
-            f.result()
-
-
-def _tiled(kernel, arrays, specs, skip=None):
-    """The outputs of kernel(*arrays, out), an elementwise or per-position
-    function of arrays shaped as the first, x (or as x with size 1 along
-    `skip`), that returns one array per entry of out.
-
-    Inline as kernel(*arrays, (None, None, None)), where numpy allocates
-    each output as the plain expression does, when x is below _TILE_BYTES,
-    is not C-contiguous, or has no axis but the last and `skip`. Otherwise
-    tiles of the last axis but one other than `skip` write into C-ordered
-    outputs of specs(), (shape, dtype) pairs: the layout the plain
-    expression gives when x is C-ordered, whatever the layout of the others.
-    """
-    x = arrays[0]
-    axis = None
-    if x.nbytes >= _TILE_BYTES and x.flags.c_contiguous:
-        axis = max((k for k in range(x.ndim - 1) if k != skip), default=None)
-    if axis is None:
-        return kernel(*arrays, (None, None, None))
-    outs = tuple(np.empty(shape, dtype) for shape, dtype in specs())
-    k = len(arrays)
-    _each_tile(lambda *parts: kernel(*parts[:k], parts[k:]), arrays + outs,
-               axis, x.nbytes)
-    return outs
 
 
 def _unbroadcast(g, shape):
@@ -560,45 +298,16 @@ def tanh(a):
     return _make(data, (na,), bwd)
 
 
-def _sigmoid_np(x):
-    """Logistic sigmoid as 0.5 * (1 + tanh(x / 2)).
-
-    No overflow and no boolean masks for any x. The error is absolute,
-    within about one ulp of 1, so values near 0 lose relative precision.
-    """
-    s = np.tanh(0.5 * x)
-    s += 1.0
-    s *= 0.5
-    return s
-
-
-def _silu_np(x, out=None):
-    return np.multiply(x, _sigmoid_np(x), out)
-
-
-def _silu_grad_np(g, x, out=None):
-    """SiLU's input gradient for upstream g, its gate recomputed from x:
-    cheaper than keeping it.
-
-    Without `out`, the one expression g * (...): numpy then computes it in
-    place in the temporary (...) when that is large enough, so the result
-    takes x's layout, not the one g and x would give a fresh array.
-    """
-    s = _sigmoid_np(x)
-    if out is None:
-        return g * (s + x * s * (1.0 - s))
-    return np.multiply(g, s + x * s * (1.0 - s), out)
-
-
 def silu(a):
     a = _wrap(a)
     na, x = _node_of(a), a.data
-    data, = _tiled(lambda x, out: (_silu_np(x, out[0]),), (x,),
-                   lambda: [(x.shape, x.dtype)])
+    data, = backend._tiled(lambda x, out: (backend._silu_np(x, out[0]),), (x,),
+                           lambda: [(x.shape, x.dtype)])
 
     def bwd(g):
-        dx, = _tiled(lambda x, g, out: (_silu_grad_np(g, x, out[0]),), (x, g),
-                     lambda: [(x.shape, np.result_type(g, x))])
+        dx, = backend._tiled(
+            lambda x, g, out: (backend._silu_grad_np(g, x, out[0]),), (x, g),
+            lambda: [(x.shape, np.result_type(g, x))])
         _accum(na, dx)
 
     return _make(data, (na,), bwd)
@@ -609,7 +318,7 @@ def softplus(a):
     na, x = _node_of(a), a.data
 
     def bwd(g):
-        _accum(na, g * _sigmoid_np(x))
+        _accum(na, g * backend._sigmoid_np(x))
 
     return _make(np.logaddexp(0.0, x), (na,), bwd)
 
@@ -735,48 +444,6 @@ def softmax(a, axis=-1):
     return mul(e, power(tsum(e, axis=axis, keepdims=True), -1.0))
 
 
-def _norm_np(x, g, b, axis, silu, out):
-    """layer_norm's output, with the SiLU tail if `silu`, and its mean and
-    inverse deviation, written into `out` (None entries: fresh arrays)."""
-    mean = x.mean(axis, None, out[1], True)
-    xhat = x - mean
-    inv = (xhat * xhat).mean(axis, None, out[2], True)
-    inv += 1e-5
-    inv **= -0.5
-    xhat *= inv
-    y = np.multiply(xhat, g, None if silu else out[0])
-    y += b
-    return (_silu_np(y, out[0]) if silu else y), mean, inv
-
-
-def _norm_grad_np(gy, x, mean, inv, g, b, axis, silu, out):
-    """(dx, gy' * xhat) and, with the SiLU tail, gy': layer_norm's input
-    gradient, the product its gain gradient sums, and the gradient gy' at
-    the norm's output (gy itself without the tail).
-
-    xhat, and with the tail the norm's output and gate, are rebuilt from the
-    kept mean and inv by the forward's own expressions, so they have its
-    bits. The closed form runs in two buffers: t = d * xhat takes the layout
-    that inv * (d - mean(d) - xhat * mean(t)) would have, and every step
-    rounds as that expression does.
-    """
-    xhat = x - mean
-    xhat *= inv
-    if silu:
-        y = xhat * g
-        y += b
-        gy = _silu_grad_np(gy, y, out[2])
-    p = np.multiply(gy, xhat, out[1])
-    d = gy * g
-    t = np.multiply(d, xhat, out[0])
-    tm = t.mean(axis=axis, keepdims=True)
-    d -= d.mean(axis=axis, keepdims=True)
-    np.multiply(xhat, tm, out=t)
-    np.subtract(d, t, out=t)
-    t *= inv
-    return (t, p, gy) if silu else (t, p)
-
-
 def layer_norm(x, gain, bias, axis=-1, silu=False):
     """Normalize over `axis` (variance floor 1e-5), then scale and shift by
     per-feature gain and bias; with `silu`, then SiLU, as one op.
@@ -796,8 +463,8 @@ def layer_norm(x, gain, bias, axis=-1, silu=False):
     feat[axis] = xd.shape[axis]
     g = gain.data.reshape(feat)
     b = bias.data.reshape(feat)
-    data, mean, inv = _tiled(
-        lambda x, out: _norm_np(x, g, b, axis, silu, out), (xd,),
+    data, mean, inv = backend._tiled(
+        lambda x, out: backend._norm_np(x, g, b, axis, silu, out), (xd,),
         lambda: [(xd.shape, np.result_type(xd, g, b))]
         + [(xd.shape[:axis] + (1,) + xd.shape[axis + 1:], xd.dtype)] * 2, axis)
     others = tuple(i for i in range(nd) if i != axis)
@@ -811,8 +478,8 @@ def layer_norm(x, gain, bias, axis=-1, silu=False):
         return out
 
     def bwd(gy):
-        dx, p, *fused = _tiled(
-            lambda x, gy, mean, inv, out: _norm_grad_np(
+        dx, p, *fused = backend._tiled(
+            lambda x, gy, mean, inv, out: backend._norm_grad_np(
                 gy, x, mean, inv, g, b, axis, silu, out),
             (xd, gy, mean, inv), lambda: specs(gy), axis)
         dy = fused[0] if silu else gy
@@ -831,91 +498,6 @@ def layer_norm(x, gain, bias, axis=-1, silu=False):
 # the horizontal image axis is the 360-degree azimuth sweep)
 # ---------------------------------------------------------------------------
 
-def _pad_conv(x, ph, pw):
-    """x padded by ph zero rows and pw wrapped azimuth columns on each side,
-    filled into one new C-ordered buffer (needs pw <= W). With nothing to
-    pad, x itself, or a C-ordered copy if it is not C-contiguous."""
-    if not ph and not pw:
-        return np.ascontiguousarray(x)
-    B, C, H, W = x.shape
-    xp = np.empty((B, C, H + 2 * ph, W + 2 * pw), dtype=x.dtype)
-    xp[:, :, :ph] = 0
-    xp[:, :, ph + H:] = 0
-    _each_tile(_wrap_rows, (xp[:, :, ph : ph + H], x), 2, xp.nbytes)
-    return xp
-
-
-def _wrap_rows(rows, x):
-    """Rows of a padded buffer, W + 2*pw wide: x in the middle and its pw
-    wrapped azimuth columns on each side."""
-    W = x.shape[-1]
-    pw = (rows.shape[-1] - W) // 2
-    rows[..., pw : pw + W] = x
-    if pw:
-        rows[..., :pw] = x[..., W - pw:]
-        rows[..., pw + W:] = x[..., :pw]
-
-
-# The most memory the columns of one block of a convolution may take; see
-# the module docstring's block rules.
-_BLOCK_BYTES = 16 << 20
-
-
-def _blocks(B, n, unit_bytes):
-    """(batch slice, unit slice) blocks covering B batch items of n units of
-    `unit_bytes` each, every block within _BLOCK_BYTES whenever three units
-    fit. The batch is split first, since each item has its own GEMM anyway;
-    the units only when one item's share does not fit, into near-equal runs
-    of at least two units (see the module docstring)."""
-    item = n * unit_bytes
-    if item <= _BLOCK_BYTES:
-        nb, k = max(1, _BLOCK_BYTES // max(item, 1)), 1
-    else:
-        nb, k = 1, -(-n // max(3, _BLOCK_BYTES // unit_bytes))
-    for b0 in range(0, B, nb):
-        for i in range(k):
-            yield slice(b0, b0 + nb), slice(i * n // k, (i + 1) * n // k)
-
-
-def _im2col(xp, kh, kw, stride, bs=_ALL, cs=_ALL, hs=_ALL):
-    """Columns (b, c*kh*kw, h*Ws) of the padded input for batch items `bs`,
-    channels `cs` and output rows `hs`, channel-major, copied from one
-    strided (B, C, kh, kw, Hs, Ws) window view of `xp` into a new array.
-    A 1x1 stride-1 kernel's columns are a view of `xp` itself."""
-    B, C, Hp, Wp = xp.shape
-    if kh == kw == stride == 1:
-        part = xp[bs, cs, hs]
-        return part.reshape(*part.shape[:2], -1)
-    Hs, Ws = (Hp - kh) // stride + 1, (Wp - kw) // stride + 1
-    sB, sC, sH, sW = xp.strides
-    win = np.ndarray((B, C, kh, kw, Hs, Ws), xp.dtype, xp, 0,
-                     (sB, sC, sH, sW, stride * sH, stride * sW))
-    win = win[bs, cs, :, :, hs]
-    cols = np.empty(win.shape, xp.dtype)
-    b, c, _, _, h, _ = win.shape
-    # Tiles of channels, by the size of one item's columns: a block of many
-    # small items (a toy-shape batch) copies inline.
-    _each_tile(np.copyto, (cols, win), 1, cols.nbytes // b)
-    return cols.reshape(b, c * kh * kw, h * Ws)
-
-
-def _conv_forward(xp, w2, kh, kw, stride, Hs, Ws):
-    """(B, O, Hs, Ws) convolution of the padded input `xp` with the
-    (O, C*kh*kw) kernel matrix `w2`, in blocks of batch items and output
-    rows: each block's columns, then its GEMM into its slice of the output.
-    A 1x1 stride-1 kernel's columns are its input, so it takes one block."""
-    B, C = xp.shape[:2]
-    O = w2.shape[0]
-    dtype = np.result_type(w2, xp)
-    out = np.empty((B, O, Hs * Ws), dtype)
-    row_bytes = (0 if kh == kw == stride == 1
-                 else C * kh * kw * Ws * dtype.itemsize)
-    for bs, hs in _blocks(B, Hs, row_bytes):
-        np.matmul(w2, _im2col(xp, kh, kw, stride, bs, _ALL, hs),
-                  out=out[bs, :, hs.start * Ws : hs.stop * Ws])
-    return out.reshape(B, O, Hs, Ws)
-
-
 def conv2d(x, w, b=None, stride=1):
     """2D convolution of BCHW input with OCKhKw kernel. Odd kernels only."""
     x = _wrap(x)
@@ -933,8 +515,9 @@ def conv2d(x, w, b=None, stride=1):
         raise ShapeError(f"conv2d: kernel {w.shape} is wider than 2*{W}+1")
     Hs, Ws = (H - 1) // stride + 1, (W - 1) // stride + 1
     kk = kh * kw
-    data = _conv_forward(_pad_conv(x.data, ph, pw), w.data.reshape(O, C * kk),
-                         kh, kw, stride, Hs, Ws)
+    data = backend._conv_forward(backend._pad_conv(x.data, ph, pw),
+                                 w.data.reshape(O, C * kk), kh, kw, stride,
+                                 Hs, Ws)
     nx, nw, nb = _node_of(x), _node_of(w), None
     if b is not None:
         b = _wrap(b)
@@ -947,16 +530,16 @@ def conv2d(x, w, b=None, stride=1):
 
     def bwd(g):
         if nw is not None:
-            xp = _pad_conv(xd, ph, pw)  # re-padded: cheaper than keeping it
+            xp = backend._pad_conv(xd, ph, pw)  # re-padded: cheaper than keeping it
             g2 = g.reshape(B, O, Hs * Ws)
             gw = np.empty((C * kk, O), np.result_type(xp, g2))
             # Blocks of batch items, and of input channels when one item's
             # columns do not fit: each gives its rows of the weight gradient.
-            for bs, cs in _blocks(B, C, kk * Hs * Ws * xp.itemsize):
+            for bs, cs in backend._blocks(B, C, kk * Hs * Ws * xp.itemsize):
                 rows = slice(cs.start * kk, cs.stop * kk)
                 # (cols @ g^T)^T: faster with OpenBLAS than g @ cols^T. The
                 # sum over the batch runs in item order across batch blocks.
-                part = np.matmul(_im2col(xp, kh, kw, stride, bs, cs),
+                part = np.matmul(backend._im2col(xp, kh, kw, stride, bs, cs),
                                  g2[bs].transpose(0, 2, 1))
                 if bs.start == 0:
                     np.sum(part, axis=0, out=gw[rows])
@@ -975,8 +558,8 @@ def conv2d(x, w, b=None, stride=1):
                 gd = np.zeros((B, O, H, W), g.dtype)
                 gd[:, :, ::stride, ::stride] = g
             wt = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(C, O * kk)
-            _accum(nx, _conv_forward(_pad_conv(gd, ph, pw), wt, kh, kw, 1,
-                                     H, W))
+            _accum(nx, backend._conv_forward(backend._pad_conv(gd, ph, pw), wt,
+                                             kh, kw, 1, H, W))
 
     return _make(data, (nx, nw, nb), bwd)
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import backend
 from .errors import ConfigError
 
 OLRI_MAGIC = b"OLRI"
@@ -132,14 +131,23 @@ def rasterize(pc, cfg):
             & (r <= cfg.r_max))
     idx = np.nonzero(keep)[0]
     ui, vi = discretize(u[idx], v[idx], cfg)
-    best_r, best_i = backend.rasterize_points(
-        vi, ui, r[idx], cfg.height, cfg.width
-    )
-    valid = best_i >= 0
-    rng = np.where(valid, best_r, 0.0).astype(np.float32)
-    inten = np.zeros((cfg.height, cfg.width), dtype=np.float32)
-    inten[valid] = pc.intensity[idx[best_i[valid]]]
-    return RangeImage(rng, inten, valid, cfg)
+    ranges = r[idx]
+    pix = vi * cfg.width + ui
+    # Sort by (pixel, range, index): the first point of each pixel wins.
+    order = np.lexsort((np.arange(idx.size), ranges, pix))
+    pix_sorted = pix[order]
+    first = np.ones(idx.size, dtype=bool)
+    first[1:] = pix_sorted[1:] != pix_sorted[:-1]
+    win = order[first]
+    rng = np.zeros(cfg.height * cfg.width, dtype=np.float32)
+    inten = np.zeros(cfg.height * cfg.width, dtype=np.float32)
+    valid = np.zeros(cfg.height * cfg.width, dtype=bool)
+    rng[pix[win]] = ranges[win]
+    inten[pix[win]] = pc.intensity[idx[win]]
+    valid[pix[win]] = True
+    shape = (cfg.height, cfg.width)
+    return RangeImage(rng.reshape(shape), inten.reshape(shape),
+                      valid.reshape(shape), cfg)
 
 
 def unproject(img):

@@ -3,7 +3,7 @@
 import numpy as np
 
 from rangegen import autodiff as ad
-from rangegen import cli, geometry, metrics, toy
+from rangegen import backend, cli, geometry, metrics, toy
 from rangegen import denoiser as dn
 
 # The denoiser a `toy = true` run trains.
@@ -223,7 +223,7 @@ def silu_reference(a):
     """Drop-in for `ad.silu` that keeps its gate for backward."""
     a = ad._wrap(a)
     na, x = ad._node_of(a), a.data
-    s = ad._sigmoid_np(x)
+    s = backend._sigmoid_np(x)
 
     def bwd(g):
         ad._accum(na, g * (s + x * s * (1.0 - s)))

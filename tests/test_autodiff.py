@@ -214,7 +214,7 @@ def test_sigmoid_extremes_raise_no_floating_point_warning():
         x = np.array([-1e4, -50.0, -0.0, 0.0, 50.0, 1e4], dtype=dtype)
         g = np.array([1.0, -2.0, 0.5, -0.0, 3.0, -1.0], dtype=dtype)
         with np.errstate(all="raise"):
-            s = ad._sigmoid_np(x)
+            s = backend._sigmoid_np(x)
             t = ad.Tensor(x, requires_grad=True)
             ad.tsum(ad.silu(t)).backward()
             u = ad.Tensor(x, requires_grad=True)
@@ -272,7 +272,7 @@ def test_pad_conv_and_im2col_match_np_pad_reference(ph, pw, stride):
     x = rng.standard_normal((2, 3, 5, 7)).astype(np.float32)
     ref = np.pad(x, ((0, 0), (0, 0), (0, 0), (pw, pw)), mode="wrap")
     ref = np.pad(ref, ((0, 0), (0, 0), (ph, ph), (0, 0)))
-    xp = ad._pad_conv(x, ph, pw)
+    xp = backend._pad_conv(x, ph, pw)
     assert xp.dtype == x.dtype and xp.flags.c_contiguous
     np.testing.assert_array_equal(xp, ref)
     kh, kw = 2 * ph + 1, 2 * pw + 1
@@ -280,7 +280,7 @@ def test_pad_conv_and_im2col_match_np_pad_reference(ph, pw, stride):
     win = win[:, :, ::stride, ::stride]
     B, C, Hs, Ws = win.shape[:4]
     ref_cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(B, C * kh * kw, Hs * Ws)
-    cols = ad._im2col(xp, kh, kw, stride)
+    cols = backend._im2col(xp, kh, kw, stride)
     assert cols.flags.c_contiguous
     np.testing.assert_array_equal(cols, ref_cols)
 
@@ -368,8 +368,8 @@ def test_conv2d_matches_reference_lowering_bitwise(monkeypatch, stride, k, W,
             limit = 2 * max(item, O * H * W * unit if k > 1 else 0)
         else:
             limit = 2 * item // 5
-        monkeypatch.setattr(ad, "_BLOCK_BYTES", limit)
-        shipped_blocks, shipped_im2col = ad._blocks, ad._im2col
+        monkeypatch.setattr(backend, "_BLOCK_BYTES", limit)
+        shipped_blocks, shipped_im2col = backend._blocks, backend._im2col
 
         def recorded_blocks(*args):
             seen.append(list(shipped_blocks(*args)))
@@ -381,8 +381,8 @@ def test_conv2d_matches_reference_lowering_bitwise(monkeypatch, stride, k, W,
                 copied.append(cols.nbytes)
             return cols
 
-        monkeypatch.setattr(ad, "_blocks", recorded_blocks)
-        monkeypatch.setattr(ad, "_im2col", recorded_im2col)
+        monkeypatch.setattr(backend, "_blocks", recorded_blocks)
+        monkeypatch.setattr(backend, "_im2col", recorded_im2col)
     got = _conv_run(ad.conv2d, x, w, b, stride, g)
     for a, r in zip(got, ref):
         assert a.dtype == r.dtype and a.shape == r.shape
@@ -459,12 +459,12 @@ def test_memory_policy_sets_trim_threshold_only_after_mmap_threshold(
     # accepted, since the trim threshold alone would pin glibc's mmap
     # threshold at 128 KiB.
     libc = _Libc(accepted)
-    ad._keep_freed_memory(libc)
+    backend._keep_freed_memory(libc)
     assert libc.calls == calls
 
 
 def test_memory_policy_without_mallopt_does_nothing():
-    ad._keep_freed_memory(object())  # another C library: no call, no error
+    backend._keep_freed_memory(object())  # another C library: no call, no error
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -520,10 +520,10 @@ def _spy_tiles(monkeypatch):
     """Record the rows of every tile `_each_tile` runs, a range, or ... for
     a whole array."""
     seen = []
-    each_tile = ad._each_tile
+    each_tile = backend._each_tile
 
     def spy(fn, arrays, axis, nbytes):
-        whole = nbytes < ad._TILE_BYTES or axis is None or axis < 0
+        whole = nbytes < backend._TILE_BYTES or axis is None or axis < 0
         start = arrays[0].__array_interface__["data"][0]
 
         def record(*parts):
@@ -536,7 +536,7 @@ def _spy_tiles(monkeypatch):
             fn(*parts)
         each_tile(record, arrays, axis, nbytes)
 
-    monkeypatch.setattr(ad, "_each_tile", spy)
+    monkeypatch.setattr(backend, "_each_tile", spy)
     return seen
 
 
@@ -545,11 +545,11 @@ def _whole_and_tiled(monkeypatch, run, floor):
     that the second run split into tiles of unequal length, so the last
     tile was ragged."""
     seen = _spy_tiles(monkeypatch)
-    monkeypatch.setattr(ad, "_TILE_BYTES", float("inf"))
+    monkeypatch.setattr(backend, "_TILE_BYTES", float("inf"))
     whole = run()
     assert all(i is ... for i in seen)
     seen.clear()
-    monkeypatch.setattr(ad, "_TILE_BYTES", floor)
+    monkeypatch.setattr(backend, "_TILE_BYTES", floor)
     tiled = run()
     assert len({len(rows) for rows in seen if rows is not ...}) >= 2, \
         "no ragged tile"
@@ -648,7 +648,7 @@ def test_fused_norm_silu_matches_composition_bitwise(monkeypatch, dtype, axis,
         return _node_run(ad.layer_norm, arrays, g, axis=axis, silu=True)
 
     ref, _ = _whole_and_tiled(monkeypatch, composed, arrays[0].nbytes)
-    monkeypatch.setattr(ad, "_TILE_BYTES", float("inf") if floor == "inline"
+    monkeypatch.setattr(backend, "_TILE_BYTES", float("inf") if floor == "inline"
                         else arrays[0].nbytes)
     _assert_same_arrays(fused(), ref)
 
@@ -686,11 +686,11 @@ def test_pad_conv_and_im2col_tiles_match_whole_bitwise(monkeypatch, dtype,
     # last one of 1.
     x = _layout(_signed(rng, (2, 9, 11, 7), dtype), x_layout)
     xp_whole, xp_tiled = _whole_and_tiled(
-        monkeypatch, lambda: ad._pad_conv(x, 1, 1), (2 * 9 * 13 * 9) * x.itemsize)
+        monkeypatch, lambda: backend._pad_conv(x, 1, 1), (2 * 9 * 13 * 9) * x.itemsize)
     _assert_same_arrays([xp_tiled], [xp_whole])
-    cols_bytes = ad._im2col(xp_whole, 3, 3, stride).nbytes // 2
+    cols_bytes = backend._im2col(xp_whole, 3, 3, stride).nbytes // 2
     cols_whole, cols_tiled = _whole_and_tiled(
-        monkeypatch, lambda: ad._im2col(xp_whole, 3, 3, stride).copy(),
+        monkeypatch, lambda: backend._im2col(xp_whole, 3, 3, stride).copy(),
         cols_bytes)
     _assert_same_arrays([cols_tiled], [cols_whole])
 
@@ -715,15 +715,15 @@ def test_accum_tiles_match_whole_bitwise(monkeypatch, dtype, first, g_layout):
 
 def test_tile_pool_never_exceeds_the_cores():
     cores = len(os.sched_getaffinity(0))
-    pool = ad._tile_pool()
-    assert 1 <= ad._threads <= cores
+    pool = backend._tile_pool()
+    assert 1 <= backend._threads <= cores
     if pool is None:
-        assert ad._threads == 1
+        assert backend._threads == 1
     else:
-        assert pool._max_workers == ad._threads - 1
+        assert pool._max_workers == backend._threads - 1
     # A tiled op starts no thread beyond the pool's.
     x = np.ones((4, 32, 64, 64), np.float32)
-    assert x.nbytes >= ad._TILE_BYTES
+    assert x.nbytes >= backend._TILE_BYTES
     ad.silu(ad.Tensor(x))
     workers = [t for t in threading.enumerate()
                if t.name.startswith("rangegen-tile")]
@@ -738,10 +738,10 @@ def _gemm_case():
 
 
 def _blas_on_pool_or_skip():
-    if ad._openblas() is None:
+    if backend._openblas() is None:
         pytest.skip("numpy's BLAS is not an OpenBLAS with a threads callback")
-    ad._tile_pool()
-    if ad._pool is None:
+    backend._tile_pool()
+    if backend._pool is None:
         pytest.skip("one core: no workers to run OpenBLAS's jobs on")
 
 
@@ -750,20 +750,20 @@ def test_gemms_on_the_workers_keep_openblas_bits():
     _blas_on_pool_or_skip()
     a, b = _gemm_case()
     calls = []
-    jobs = ad._blas_jobs
+    jobs = backend._blas_jobs
 
     def counted(*args):
         calls.append(args[2])
         jobs(*args)
 
     try:
-        ad._blas_on_pool(False)
+        backend._blas_on_pool(False)
         own = np.matmul(a, b)
-        ad._blas_callback = ad._JOBS(counted)
-        ad._openblas()[0](ad._blas_callback)
+        backend._blas_callback = backend._JOBS(counted)
+        backend._openblas()[0](backend._blas_callback)
         pooled = np.matmul(a, b)
     finally:
-        ad._blas_on_pool(True)
+        backend._blas_on_pool(True)
     assert calls and max(calls) > 1
     assert np.array_equal(bits(pooled), bits(own))
 
@@ -774,11 +774,11 @@ def test_gemm_with_more_jobs_than_workers_completes():
     _blas_on_pool_or_skip()
     a, b = _gemm_case()
     ref = np.matmul(a, b)
-    _, get_threads, set_threads = ad._openblas()
+    _, get_threads, set_threads = backend._openblas()
     before = get_threads()
     result = []
     try:
-        set_threads(ad._threads + 2)
+        set_threads(backend._threads + 2)
         t = threading.Thread(target=lambda: result.append(np.matmul(a, b)))
         t.start()
         t.join(timeout=60)
@@ -816,7 +816,7 @@ def test_forked_child_runs_gemms_on_openblas_threads():
     ref = np.matmul(a, b)
     pid = os.fork()
     if pid == 0:
-        ok = ad._pool is None and np.array_equal(bits(np.matmul(a, b)),
+        ok = backend._pool is None and np.array_equal(bits(np.matmul(a, b)),
                                                  bits(ref))
         os._exit(0 if ok else 1)
     deadline = time.monotonic() + 60
@@ -839,9 +839,9 @@ def test_tiles_run_once_each_under_thread_contention(monkeypatch):
     ref = ad.silu(ad.Tensor(x)).data
     seen = _spy_tiles(monkeypatch)
     pool = ThreadPoolExecutor(4)
-    monkeypatch.setattr(ad, "_pool", pool)
-    monkeypatch.setattr(ad, "_threads", 5)
-    monkeypatch.setattr(ad, "_TILE_BYTES", 256)
+    monkeypatch.setattr(backend, "_pool", pool)
+    monkeypatch.setattr(backend, "_threads", 5)
+    monkeypatch.setattr(backend, "_TILE_BYTES", 256)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

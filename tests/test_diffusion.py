@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import TINY_CONFIG, TOY_DENOISER_CONFIG, bits
-from rangegen import autodiff as ad
+from rangegen import backend
 from rangegen import denoiser as dn
 from rangegen import diffusion as df
 from rangegen.errors import ConfigError, ShapeError, TrainingError
@@ -163,7 +163,7 @@ def test_paper_width_step_does_not_depend_on_conv_block_size(monkeypatch):
         np.float32)
 
     def step(limit):
-        monkeypatch.setattr(ad, "_BLOCK_BYTES", limit)
+        monkeypatch.setattr(backend, "_BLOCK_BYTES", limit)
         params = dn.init_denoiser(cfg, np.random.default_rng(21),
                                   dtype=np.float32)
         loss = df.diffusion_loss(params, cfg, df.cosine_schedule(64), x0, zc,

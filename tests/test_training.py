@@ -17,7 +17,7 @@ from conftest import (TOY_DENOISER_CONFIG, conv2d_reference,
                       layer_norm_reference, silu_reference,
                       upsample2x_reference)
 from rangegen import autodiff as ad
-from rangegen import diffusion, forge, toy, training
+from rangegen import backend, diffusion, forge, toy, training
 from rangegen.checkpoint import read_checkpoint, write_checkpoint
 from rangegen.denoiser import DenoiserConfig, init_denoiser
 from rangegen.errors import ConfigError
@@ -399,14 +399,14 @@ def test_train_bit_identical_with_reference_kernels(tmp_path, monkeypatch):
 
     shipped = run("shipped")
     tiles = []
-    each_tile = ad._each_tile
+    each_tile = backend._each_tile
 
     def counted_tiles(fn, arrays, axis, nbytes):
-        tiles.append(nbytes >= ad._TILE_BYTES)
+        tiles.append(nbytes >= backend._TILE_BYTES)
         return each_tile(fn, arrays, axis, nbytes)
 
-    monkeypatch.setattr(ad, "_each_tile", counted_tiles)
-    monkeypatch.setattr(ad, "_TILE_BYTES", 4096)
+    monkeypatch.setattr(backend, "_each_tile", counted_tiles)
+    monkeypatch.setattr(backend, "_TILE_BYTES", 4096)
     assert run("tiled") == shipped
     assert sum(tiles) > 100
     monkeypatch.undo()
@@ -434,27 +434,27 @@ def test_wide_step_bit_identical_inline_tiled_and_blocked(monkeypatch):
     # gradient bits of the shipped tiles, at the shipped block limit and at
     # 4 MiB.
     tiled, blocks = [], []
-    each_tile, make_blocks = ad._each_tile, ad._blocks
+    each_tile, make_blocks = backend._each_tile, backend._blocks
 
     def count_tiles(fn, arrays, axis, nbytes):
-        tiled.append(nbytes >= ad._TILE_BYTES)
+        tiled.append(nbytes >= backend._TILE_BYTES)
         return each_tile(fn, arrays, axis, nbytes)
 
     def count_blocks(*args):
         blocks.append(list(make_blocks(*args)))
         return iter(blocks[-1])
 
-    monkeypatch.setattr(ad, "_each_tile", count_tiles)
-    monkeypatch.setattr(ad, "_blocks", count_blocks)
+    monkeypatch.setattr(backend, "_each_tile", count_tiles)
+    monkeypatch.setattr(backend, "_blocks", count_blocks)
 
     def step(tile_bytes, block_bytes):
-        monkeypatch.setattr(ad, "_TILE_BYTES", tile_bytes)
-        monkeypatch.setattr(ad, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(backend, "_TILE_BYTES", tile_bytes)
+        monkeypatch.setattr(backend, "_BLOCK_BYTES", block_bytes)
         tiled.clear()
         blocks.clear()
         return _wide_step(32, 256)
 
-    floor = ad._TILE_BYTES
+    floor = backend._TILE_BYTES
     inline = step(float("inf"), 16 << 20)
     assert not any(tiled) and any(len(b) > 1 for b in blocks)
     assert step(floor, 16 << 20) == inline
