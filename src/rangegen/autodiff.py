@@ -428,11 +428,13 @@ def matmul(a, b):
 
     def bwd(g):
         if na is not None:
-            _accum(na, _unbroadcast(np.matmul(g, np.swapaxes(xb, -1, -2)), sa))
+            _accum(na, _unbroadcast(backend._gemm(g, np.swapaxes(xb, -1, -2)),
+                                    sa))
         if nb is not None:
-            _accum(nb, _unbroadcast(np.matmul(np.swapaxes(xa, -1, -2), g), sb))
+            _accum(nb, _unbroadcast(backend._gemm(np.swapaxes(xa, -1, -2), g),
+                                    sb))
 
-    return _make(np.matmul(a.data, b.data), (na, nb), bwd)
+    return _make(backend._gemm(a.data, b.data), (na, nb), bwd)
 
 
 def softmax(a, axis=-1):
@@ -539,8 +541,8 @@ def conv2d(x, w, b=None, stride=1):
                 rows = slice(cs.start * kk, cs.stop * kk)
                 # (cols @ g^T)^T: faster with OpenBLAS than g @ cols^T. The
                 # sum over the batch runs in item order across batch blocks.
-                part = np.matmul(backend._im2col(xp, kh, kw, stride, bs, cs),
-                                 g2[bs].transpose(0, 2, 1))
+                part = backend._gemm(backend._im2col(xp, kh, kw, stride, bs, cs),
+                                     g2[bs].transpose(0, 2, 1))
                 if bs.start == 0:
                     np.sum(part, axis=0, out=gw[rows])
                 else:

@@ -1,20 +1,20 @@
-"""Numpy kernels: the scan recurrence, the elementwise and norm kernels,
-the convolution lowering, and the worker pool that tiles them.
+"""Numpy kernels: SiLU, the norm, the convolution lowering and the scan
+recurrence; the worker pool that runs them in tiles and splits the large
+GEMMs; and the allocation policy.
 
 Convolution is lowered to matrix products (im2col, Chellapilla et al.
 2006). ``_pad_conv`` fills one new buffer with the input, ph zero rows
 above and below and pw wrapped azimuth columns on each side (a 1x1
 kernel pads nothing and uses the input as is). The padded input ``xp``
-of shape (B, C, Hp, Wp) is unfolded into columns of shape
-(B, C*kh*kw, Hs*Ws), channel-major: row ``(c, i, j)`` holds
+of shape (B, C, Hp, Wp) is unfolded into channel-major columns of shape
+(B, C*kh*kw, Hs*Ws): row ``(c, i, j)`` holds
 ``xp[:, c, i + stride*h, j + stride*w]`` for every output pixel
-``(h, w)``. ``_im2col`` copies them from one strided
-(B, C, kh, kw, Hs, Ws) view of ``xp``. ``_conv_forward`` then takes one
-matmul per batch item with the (O, C*kh*kw) kernel matrix, whose
-(B, O, Hs*Ws) result is already contiguous BCHW. Backward takes the
-weight gradient as ``(cols @ g^T)^T`` summed over the batch. The columns
-are kh*kw times the size of the input, so backward rebuilds them (and
-``xp``) from the input rather than keeping them on the tape.
+``(h, w)``, copied by ``_im2col`` from one strided (B, C, kh, kw, Hs, Ws)
+view of ``xp``. ``_conv_forward`` takes one matmul per batch item with the
+(O, C*kh*kw) kernel matrix, whose (B, O, Hs*Ws) result is already
+contiguous BCHW. The weight gradient is ``(cols @ g^T)^T`` summed over the
+batch; the columns are kh*kw times the size of the input, so backward
+rebuilds them (and ``xp``) rather than keeping them on the tape.
 
 Input gradient by the adjoint convolution (Dumoulin & Visin 2016).
 Backward runs ``_conv_forward`` a second time, at stride 1: over ``gd``,
@@ -28,23 +28,18 @@ and output pixels: zero rows and wrapped azimuth columns are their own
 adjoint under a flipped kernel, at odd widths too, so nothing is cropped
 or folded afterwards, and the input gradient needs no lowering of its own.
 
-Blocks. ``conv2d`` builds its columns one block at a time, each within
-``_BLOCK_BYTES`` (16 MiB), so its memory does not grow with B*H*W*C; a
-convolution that fits takes one block and runs as if unblocked.
-``_blocks`` splits the batch first, and the units of one batch item
+GEMM shapes. A piece of a product must round as the whole does, but
+OpenBLAS sends a one-row product to a matrix-vector kernel and, on some
+CPUs, one of at most 10^6 multiply-adds (``_SMALL_GEMM``) to a
+small-matrix kernel, both summing in another order than its general
+kernel. So every split here keeps whole products, or leaves pieces at
+least two wide and above that size. ``conv2d`` builds its columns in
+blocks within ``_BLOCK_BYTES`` (16 MiB), so its memory does not grow with
+B*H*W*C: ``_blocks`` splits the batch first, and the units of one item
 (output rows in ``_conv_forward``, input channels for the weight
-gradient) only when that item's share does not fit. Blocking keeps every
-summation order. A row tile computes whole output pixels, each still a
-sum over all of its kernel matrix's columns; a channel block computes
-whole rows of the weight gradient, each a sum over all pixels; and the
-batch sum of the weight gradient runs in item order across blocks.
-What blocking changes is the shape of each GEMM, which BLAS must not
-round differently: OpenBLAS sends a one-row product to a matrix-vector
-kernel and, on some CPUs, a product of at most 10^6 multiply-adds to a
-small-matrix kernel, and both sum in another order than its general
-kernel. So unit runs are near-equal and at least two long, and a split
-inside one item leaves blocks of several MB, whose products stay far
-above that size; a split of the batch leaves each item's GEMM as it was.
+gradient) only when its share does not fit, into near-equal runs at least
+two long of several MB each. Each output pixel and weight-gradient row is
+still one whole sum, and the batch sum runs in item order across blocks.
 
 Memory policy. Freeing activations during the forward pass leaves holes
 that glibc's defaults hand back to the kernel (heap trimming, and mmap
@@ -54,8 +49,7 @@ training step (16x64, batch 8). At import this module sets glibc's mmap
 threshold to 32 MiB, the ceiling of its own dynamic threshold, and then
 its trim threshold to 128 MiB (in that order: the trim threshold alone
 pins the mmap threshold at 128 KiB), so freed memory stays in the process
-and a steady toy step takes 1-2 faults. Each conv block's columns are a
-plain ``np.empty``.
+and a steady toy step takes 1-2 faults.
 
 Threads. numpy's ufuncs run on one core, and about half of a paper-width
 training step is memory-bound work in them. So the SiLU forward and
@@ -63,42 +57,36 @@ backward, ``layer_norm``'s forward and input gradient (fused SiLU tail
 included), ``_pad_conv``, ``_im2col``'s copy and ``_accum``'s out-of-place
 add split their arrays into tiles, run by the calling thread and the
 workers of one module-level pool: min(cores, ``_MAX_THREADS``) threads in
-all, the caller included, made on first use, so the pool never starts a
-thread beyond the cores it may run on. Arrays below ``_TILE_BYTES`` (2 MiB)
-run whole and inline, by the same function; for ``_im2col`` the size is
-that of one batch item's columns, so that a block of many small items (a
-toy-shape batch) copies inline too. A tile is a run of rows of H (of the
-sequence axis for a (B, L, C) norm, of channels for ``_im2col``), about
+all, the caller included, made on first use. Arrays below ``_TILE_BYTES``
+(2 MiB) run whole and inline; for ``_im2col`` the size is that of one
+batch item's columns, so a block of many small items (a toy-shape batch)
+copies inline too. A tile is a run of rows of H (of the sequence axis
+for a (B, L, C) norm, of channels for ``_im2col``), about
 ``_TILE_BYTES`` / 2 bytes. Only elementwise work and per-position
 reductions over the norm's own axis are tiled: each output element is
 computed from the same inputs by the same expression whatever the tiling,
 so it has the same bits, and a tiled output takes the C order the whole
 expression gives a C-ordered input (an input in any other layout runs
-whole). Sums across positions stay whole and in their old order:
-``layer_norm``'s gain and bias gradients, ``conv2d``'s bias gradient and
-``_unbroadcast``, since tiling them would change their summation order.
-A tile worker touches only numpy and private helpers, never a public
+whole). Sums across positions (``layer_norm``'s gain and bias gradients,
+``conv2d``'s bias gradient, ``_unbroadcast``) stay whole and in their
+order. A worker touches only numpy and private helpers, never a public
 function of this package, which a tracer may wrap without being
 thread-safe. OpenBLAS's own threads spin for about 0.1 s after each call,
-each holding a core, so between a training step's GEMMs the tiles would
-find no free core; when the pool is made, it takes over OpenBLAS's thread
-jobs through ``openblas_set_threads_callback_function`` (OpenBLAS 0.3.27
-and later). The jobs are the ones OpenBLAS's threads would run, so every
-GEMM keeps its bits. A forked child drops the pool and hands the jobs back.
+each holding a core, so between a step's GEMMs the tiles would find no
+free core. So making the pool puts OpenBLAS on one thread, and ``_gemm``
+runs each large product on the caller and the workers: a stack in runs of
+whole products, a single product in pieces along its longer output axis.
+A forked child drops the pool; its products run whole until it makes one.
 """
 
 import ctypes
 import itertools
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-# There is no compiled backend. The flag and this module stay because the
-# benchmark reads them: perfbench/run.py prints `backend.USE_NUMBA` in its
-# `env` line, perfbench/spans.py lists `backend` in MODULES, and
-# `backend.scan_forward` / `backend.scan_backward` are traced per-layer metrics.
+# There is no compiled backend; perfbench/run.py prints this in its env line.
 USE_NUMBA = False
 
 
@@ -114,49 +102,45 @@ if os.name == "posix":
     _keep_freed_memory(ctypes.CDLL(None))
 
 
-# The worker threads, shared by the tiles of the memory-bound ops and by
-# OpenBLAS's GEMM jobs (see the module docstring's thread rules): the size
-# from which an op is split into tiles, and the most threads in all.
+# The worker threads (see the module docstring's Threads): the size from
+# which an op is split into tiles, and the most threads in all.
 _TILE_BYTES = 2 << 20
 _MAX_THREADS = 8
 _ALL = slice(None)
 _threads = 0     # threads in all, the caller's included; set on first use
 _pool = None     # the _threads - 1 workers beside the caller, None on one core
-_blas_lock = threading.Lock()
-_blas_callback = None  # kept alive while OpenBLAS holds a pointer to it
-_JOB = ctypes.CFUNCTYPE(None, ctypes.c_int, ctypes.c_void_p, ctypes.c_int)
-_JOBS = ctypes.CFUNCTYPE(None, ctypes.c_int, _JOB, ctypes.c_int,
-                         ctypes.c_size_t, ctypes.c_void_p, ctypes.c_int)
+_split_gemms = False  # OpenBLAS was put on one thread when the pool was made
+_SMALL_GEMM = 10 ** 6  # the most multiply-adds of a small-matrix product
 
 
 def _tile_pool():
     """The workers, made on first use: min(cores, _MAX_THREADS) threads in
-    all, the calling thread being one of them. Making them hands OpenBLAS's
-    thread jobs to them as well."""
-    global _threads, _pool
+    all, the calling thread being one of them. Making them puts OpenBLAS on
+    one thread, so that `_gemm` splits the large products instead."""
+    global _threads, _pool, _split_gemms
     if not _threads:
         cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                  else os.cpu_count() or 1)
         _threads = min(cores, _MAX_THREADS)
         if _threads > 1:
             _pool = ThreadPoolExecutor(_threads - 1, "rangegen-tile")
-            _blas_on_pool(True)
+            set_threads = _openblas()
+            if set_threads is not None:
+                set_threads(1)
+                _split_gemms = True
             os.register_at_fork(after_in_child=_forget_pool)
     return _pool
 
 
 def _forget_pool():
-    """In a forked child, where the parent's workers do not run: no pool,
-    and OpenBLAS's jobs back on its own threads."""
+    """In a forked child, where the parent's workers do not run: no pool."""
     global _threads, _pool
     _threads, _pool = 0, None
-    _blas_on_pool(False)
 
 
 def _openblas():
-    """(set_threads_callback_function, get_num_threads, set_num_threads) of
-    the OpenBLAS this process loaded, or None: another BLAS, an OpenBLAS
-    older than 0.3.27, or no /proc/self/maps."""
+    """set_num_threads of the OpenBLAS this process loaded, or None: another
+    BLAS, or no /proc/self/maps."""
     try:
         with open("/proc/self/maps") as f:
             paths = sorted({line.split()[-1] for line in f
@@ -165,59 +149,33 @@ def _openblas():
         return None
     for path in paths:
         lib = ctypes.CDLL(path)
-        for prefix, suffix in (("scipy_", "64_"), ("", "64_"), ("", "")):
-            names = [f"{prefix}openblas_{name}{suffix}" for name in (
-                "set_threads_callback_function", "get_num_threads",
-                "set_num_threads")]
-            if all(hasattr(lib, name) for name in names):
-                return [getattr(lib, name) for name in names]
+        for name in ("scipy_openblas_set_num_threads64_",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.argtypes = [ctypes.c_int]
+                return fn
     return None
 
 
-def _blas_on_pool(on):
-    """Run OpenBLAS's thread jobs on the workers (on), or on its own threads.
+def _share(fn, jobs):
+    """fn(*job) for each of `jobs`, taken in turn by the calling thread and
+    the workers; returns when all are done."""
+    take = itertools.count()  # one next() at a time, under the GIL
 
-    OpenBLAS's own threads spin for about 0.1 s after each of its calls,
-    each holding a core, so a training step's GEMMs would keep one core
-    from the tiles between them. Its jobs are the same either way, so every
-    GEMM keeps its bits; at most _threads of them, so that all of one
-    call's can run at once.
-    """
-    global _blas_callback
-    fns = _openblas()
-    if fns is None:
-        return
-    set_callback, get_threads, set_threads = fns
-    set_callback.argtypes = [_JOBS]
-    set_threads.argtypes = [ctypes.c_int]
-    _blas_callback = _JOBS(_blas_jobs) if on else _JOBS()  # else NULL
-    if on and get_threads() > _threads:
-        set_threads(_threads)
-    set_callback(_blas_callback)
+    def drain():
+        for k in take:
+            if k >= len(jobs):
+                return
+            fn(*jobs[k])
 
-
-def _blas_jobs(sync, job, n, size, data, arg):
-    """OpenBLAS's threads callback: its n jobs of one call, all at once, job
-    0 on the calling thread and the others on the workers, returning when
-    all are done. The jobs of one call wait on each other, so one call runs
-    at a time, and a job the workers cannot take at once (more jobs than
-    workers, or a pool shut down at exit) gets a thread of its own."""
-    with _blas_lock:
-        waits = []
-        for i in range(1, n):
-            args = (i, data + i * size, arg)
-            try:
-                if i < _threads:
-                    waits.append(_pool.submit(job, *args).result)
-                    continue
-            except RuntimeError:
-                pass
-            t = threading.Thread(target=job, args=args)
-            t.start()
-            waits.append(t.join)
-        job(0, data, arg)
-        for wait in waits:
-            wait()
+    helpers = min(_threads, len(jobs)) - 1 if _pool else 0
+    futures = [_pool.submit(drain) for _ in range(helpers)]
+    try:
+        drain()
+    finally:
+        for f in futures:
+            f.result()
 
 
 def _each_tile(fn, arrays, axis, nbytes):
@@ -236,21 +194,47 @@ def _each_tile(fn, arrays, axis, nbytes):
     n = arrays[0].shape[axis]
     step = max(1, n * _TILE_BYTES // (2 * nbytes))
     tiles = [(_ALL,) * axis + (slice(k, k + step),) for k in range(0, n, step)]
-    take = itertools.count()  # one next() at a time, under the GIL
+    _tile_pool()
+    _share(fn, [tuple(a[t] for a in arrays) for t in tiles])
 
-    def drain():
-        for k in take:
-            if k >= len(tiles):
-                return
-            fn(*(a[tiles[k]] for a in arrays))
 
-    pool = _tile_pool()
-    futures = [pool.submit(drain) for _ in range(_threads - 1)] if pool else []
-    try:
-        drain()
-    finally:
-        for f in futures:
-            f.result()
+def _pieces(n, unit_macs, least):
+    """Near-equal runs covering range(n): one per thread, but fewer where a
+    run would be under `least` units or at most _SMALL_GEMM multiply-adds
+    at `unit_macs` a unit."""
+    k = max(1, min(_threads, n // least))
+    while k > 1 and n // k * unit_macs <= _SMALL_GEMM:
+        k -= 1
+    return [slice(i * n // k, (i + 1) * n // k) for i in range(k)]
+
+
+def _gemm(a, b, out=None):
+    """np.matmul(a, b, out), run by the calling thread and the workers when
+    OpenBLAS was put on one thread beside them; never makes the pool. A
+    stack (up to 3-D) splits into runs of whole products, a single product
+    along its longer output axis (see the module docstring's GEMM shapes).
+    """
+    if (not _split_gemms or _pool is None or min(a.ndim, b.ndim) < 2
+            or max(a.ndim, b.ndim) > 3 or np.may_share_memory(a, b)):
+        return np.matmul(a, b, out=out)
+    (m, k), n = a.shape[-2:], b.shape[-1]
+    if out is None:
+        batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        out = np.empty(batch + (m, n), np.result_type(a, b))
+    if out.ndim == 3 and len(out) > 1:
+        jobs = [tuple(x[s] if x.ndim == 3 and len(x) > 1 else x
+                      for x in (a, b, out))
+                for s in _pieces(len(out), m * n * k, 1)]
+    else:
+        a2, b2, o2 = (x[0] if x.ndim == 3 else x for x in (a, b, out))
+        if min(m, n) < 2:
+            jobs = [(a2, b2, o2)]
+        elif m >= n:
+            jobs = [(a2[s], b2, o2[s]) for s in _pieces(m, n * k, 2)]
+        else:
+            jobs = [(a2, b2[:, s], o2[:, s]) for s in _pieces(n, m * k, 2)]
+    _share(lambda x, y, o: np.matmul(x, y, out=o), jobs)
+    return out
 
 
 def _tiled(kernel, arrays, specs, skip=None):
@@ -384,9 +368,7 @@ def _wrap_rows(rows, x):
         rows[..., pw + W:] = x[..., :pw]
 
 
-# The most memory the columns of one block of a convolution may take; see
-# the module docstring's block rules.
-_BLOCK_BYTES = 16 << 20
+_BLOCK_BYTES = 16 << 20  # the most a conv block's columns take (GEMM shapes)
 
 
 def _blocks(B, n, unit_bytes):
@@ -439,8 +421,8 @@ def _conv_forward(xp, w2, kh, kw, stride, Hs, Ws):
     row_bytes = (0 if kh == kw == stride == 1
                  else C * kh * kw * Ws * dtype.itemsize)
     for bs, hs in _blocks(B, Hs, row_bytes):
-        np.matmul(w2, _im2col(xp, kh, kw, stride, bs, _ALL, hs),
-                  out=out[bs, :, hs.start * Ws : hs.stop * Ws])
+        _gemm(w2, _im2col(xp, kh, kw, stride, bs, _ALL, hs),
+              out[bs, :, hs.start * Ws : hs.stop * Ws])
     return out.reshape(B, O, Hs, Ws)
 
 

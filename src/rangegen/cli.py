@@ -193,13 +193,20 @@ def domain_specs_from_config(cfg):
     if cfg.corruption_file:
         tables = forge.parse_corruption_file(cfg.corruption_file)
         # Snow returns are drawn out to scatter_range and written as valid,
-        # so a range past the sensor's r_max would make returns it cannot see.
+        # so a range past the sensor's r_max would make returns it cannot see;
+        # scatter_count draws are allocated at once, one per pixel at most.
+        pixels = cfg.image_height * cfg.image_width
         for level, table in enumerate(tables.get("snow", ())):
+            where = f"{cfg.corruption_file}: [snow.{level}]"
             if table.get("scatter_range", 0.0) > cfg.r_max:
                 raise ConfigError(
-                    f"{cfg.corruption_file}: [snow.{level}]: scatter_range = "
-                    f"{table['scatter_range']:g} is beyond the sensor's "
-                    f"r_max = {cfg.r_max:g}")
+                    f"{where}: scatter_range = {table['scatter_range']:g} is "
+                    f"beyond the sensor's r_max = {cfg.r_max:g}")
+            if table.get("scatter_count", 0) > pixels:
+                raise ConfigError(
+                    f"{where}: scatter_count = {table['scatter_count']:.0f} is "
+                    f"more than the {cfg.image_height}x{cfg.image_width} = "
+                    f"{pixels} pixels of the sensor")
         specs = [
             dataclasses.replace(
                 s, corruption=forge.CorruptionSpec(

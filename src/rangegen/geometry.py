@@ -131,23 +131,18 @@ def rasterize(pc, cfg):
             & (r <= cfg.r_max))
     idx = np.nonzero(keep)[0]
     ui, vi = discretize(u[idx], v[idx], cfg)
-    ranges = r[idx]
-    pix = vi * cfg.width + ui
+    ranges, pix = r[idx], vi * cfg.width + ui
     # Sort by (pixel, range, index): the first point of each pixel wins.
     order = np.lexsort((np.arange(idx.size), ranges, pix))
-    pix_sorted = pix[order]
     first = np.ones(idx.size, dtype=bool)
-    first[1:] = pix_sorted[1:] != pix_sorted[:-1]
+    first[1:] = pix[order[1:]] != pix[order[:-1]]
     win = order[first]
-    rng = np.zeros(cfg.height * cfg.width, dtype=np.float32)
-    inten = np.zeros(cfg.height * cfg.width, dtype=np.float32)
-    valid = np.zeros(cfg.height * cfg.width, dtype=bool)
-    rng[pix[win]] = ranges[win]
-    inten[pix[win]] = pc.intensity[idx[win]]
-    valid[pix[win]] = True
+    at = vi[win], ui[win]
     shape = (cfg.height, cfg.width)
-    return RangeImage(rng.reshape(shape), inten.reshape(shape),
-                      valid.reshape(shape), cfg)
+    rng, inten = np.zeros(shape, np.float32), np.zeros(shape, np.float32)
+    valid = np.zeros(shape, dtype=bool)
+    rng[at], inten[at], valid[at] = ranges[win], pc.intensity[idx[win]], True
+    return RangeImage(rng, inten, valid, cfg)
 
 
 def unproject(img):
@@ -241,8 +236,15 @@ def read_olri(path):
     off += 4 * n
     inten = np.frombuffer(raw, dtype="<f4", count=n, offset=off).reshape(h, w)
     off += 4 * n
-    valid = np.frombuffer(raw, dtype=np.uint8, count=n, offset=off).reshape(h, w)
-    return RangeImage(rng.copy(), inten.copy(), valid.astype(bool), cfg)
+    valid = np.frombuffer(raw, dtype=np.uint8, count=n, offset=off
+                          ).reshape(h, w).astype(bool)
+    ok = (rng >= 0.0) & (rng <= cfg.r_max)  # a NaN fails both
+    ok |= ~valid
+    if not ok.all():
+        v, u = np.argwhere(~ok)[0]
+        raise ConfigError(f"{path}: valid pixel ({v}, {u}) has range "
+                          f"{rng[v, u]}, outside [0, {cfg.r_max:g}] m")
+    return RangeImage(rng.copy(), inten.copy(), valid, cfg)
 
 
 def write_xyz(path, pc):

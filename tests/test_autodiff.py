@@ -737,66 +737,105 @@ def _gemm_case():
     return a, b
 
 
-def _blas_on_pool_or_skip():
-    if backend._openblas() is None:
-        pytest.skip("numpy's BLAS is not an OpenBLAS with a threads callback")
+def _split_gemms_or_skip():
     backend._tile_pool()
     if backend._pool is None:
-        pytest.skip("one core: no workers to run OpenBLAS's jobs on")
+        pytest.skip("one core: no workers to split the GEMMs across")
+    if not backend._split_gemms:
+        pytest.skip("numpy's BLAS is not an OpenBLAS: GEMMs are not split")
 
 
-def test_gemms_on_the_workers_keep_openblas_bits():
-    # OpenBLAS's jobs are the same on its own threads and on the workers.
-    _blas_on_pool_or_skip()
-    a, b = _gemm_case()
-    calls = []
-    jobs = backend._blas_jobs
+def _spy_gemm_pieces(monkeypatch):
+    """Record the (a, b, out) operands of every piece of every product that
+    `_gemm` shares out in more than one piece."""
+    pieces = []
+    share = backend._share
 
-    def counted(*args):
-        calls.append(args[2])
-        jobs(*args)
+    def spy(fn, jobs):
+        if len(jobs) > 1:
+            pieces.extend(jobs)
+        share(fn, jobs)
 
+    monkeypatch.setattr(backend, "_share", spy)
+    return pieces
+
+
+# (a, b) shapes and whether _gemm splits them on more than one thread: the
+# head's 1x1 weight gradient, whose halves would fall under OpenBLAS's
+# small-matrix kernel; the stacked scan-weight gradient, whose columns
+# would too; and a conv forward product with a broadcast kernel matrix.
+_GEMM_CASES = {
+    "head_wgrad": ((32, 16384), (16384, 2), False),
+    "scan_wgrad": ((16, 32, 1024), (16, 1024, 32), True),
+    "conv_forward": ((32, 288), (1, 288, 8192), True),
+    "wide": ((64, 576), (576, 4096), True),
+}
+
+
+@pytest.mark.parametrize("case", list(_GEMM_CASES))
+def test_gemm_pieces_keep_the_bits_of_the_whole_product(monkeypatch, case):
+    # OpenBLAS computes every piece with the kernel it gives the whole
+    # product, so each output element has the same bits with OpenBLAS on
+    # one thread, with OpenBLAS on its own threads and split by _gemm.
+    _split_gemms_or_skip()
+    sa, sb, splits = _GEMM_CASES[case]
+    rng = np.random.default_rng(23)
+    a = rng.standard_normal(sa).astype(np.float32)
+    b = rng.standard_normal(sb).astype(np.float32)
+    set_threads = backend._openblas()
     try:
-        backend._blas_on_pool(False)
+        set_threads(backend._threads)
         own = np.matmul(a, b)
-        backend._blas_callback = backend._JOBS(counted)
-        backend._openblas()[0](backend._blas_callback)
-        pooled = np.matmul(a, b)
     finally:
-        backend._blas_on_pool(True)
-    assert calls and max(calls) > 1
-    assert np.array_equal(bits(pooled), bits(own))
+        set_threads(1)
+    one = np.matmul(a, b)
+    pieces = _spy_gemm_pieces(monkeypatch)
+    got = backend._gemm(a, b)
+    assert got.dtype == own.dtype and got.strides == own.strides
+    assert np.array_equal(bits(got), bits(own))
+    assert np.array_equal(bits(one), bits(own))
+    assert bool(pieces) == splits
+    m, k, n = sa[-2], sa[-1], sb[-1]
+    for pa, pb, po in pieces:
+        if a.ndim == 3:  # runs of whole products
+            assert pa.shape[-2:] == (m, k) and pb.shape[-2:] == (k, n)
+        else:
+            pm, pn = po.shape[-2:]
+            assert min(pm, pn) >= 2 and pm * pn * k > backend._SMALL_GEMM
 
 
-def test_gemm_with_more_jobs_than_workers_completes():
-    # Jobs past the workers' number get threads of their own: the jobs of
-    # one call wait on each other, so queueing them would never finish.
-    _blas_on_pool_or_skip()
+def test_gemm_without_openblas_makes_no_pool_and_does_not_split(monkeypatch):
+    # Where _openblas() finds nothing, OpenBLAS's threads are left alone and
+    # every product runs whole; and _gemm never makes the pool itself, so
+    # a process with no tiled op never pays the workers' handoff.
+    monkeypatch.setattr(backend, "_openblas", lambda: None)
+    monkeypatch.setattr(backend, "_threads", 0)
+    monkeypatch.setattr(backend, "_pool", None)
+    monkeypatch.setattr(backend, "_split_gemms", False)
+    pieces = _spy_gemm_pieces(monkeypatch)
     a, b = _gemm_case()
     ref = np.matmul(a, b)
-    _, get_threads, set_threads = backend._openblas()
-    before = get_threads()
-    result = []
+    assert np.array_equal(bits(backend._gemm(a, b)), bits(ref))
+    assert backend._pool is None and backend._threads == 0
+    pool = backend._tile_pool()
     try:
-        set_threads(backend._threads + 2)
-        t = threading.Thread(target=lambda: result.append(np.matmul(a, b)))
-        t.start()
-        t.join(timeout=60)
-        assert not t.is_alive()
+        assert not backend._split_gemms
+        assert np.array_equal(bits(backend._gemm(a, b)), bits(ref))
     finally:
-        set_threads(before)
-    assert np.array_equal(bits(result[0]), bits(ref))
+        if pool is not None:
+            pool.shutdown()
+    assert not pieces
 
 
 def test_gemms_from_two_threads_at_once_complete():
-    _blas_on_pool_or_skip()
+    _split_gemms_or_skip()
     a, b = _gemm_case()
     ref = np.matmul(a, b)
     results = []
 
     def work():
         for _ in range(10):
-            results.append(np.matmul(a, b))
+            results.append(backend._gemm(a, b))
 
     threads = [threading.Thread(target=work) for _ in range(2)]
     for t in threads:
@@ -809,15 +848,16 @@ def test_gemms_from_two_threads_at_once_complete():
 
 
 def test_forked_child_runs_gemms_on_openblas_threads():
-    # The workers do not exist in a forked child: it drops the pool and
-    # hands OpenBLAS's jobs back to OpenBLAS's own threads.
-    _blas_on_pool_or_skip()
+    # The workers do not exist in a forked child: it drops the pool, and
+    # _gemm runs each product whole on OpenBLAS without making a new pool.
+    _split_gemms_or_skip()
     a, b = _gemm_case()
     ref = np.matmul(a, b)
     pid = os.fork()
     if pid == 0:
-        ok = backend._pool is None and np.array_equal(bits(np.matmul(a, b)),
-                                                 bits(ref))
+        ok = (backend._pool is None
+              and np.array_equal(bits(backend._gemm(a, b)), bits(ref))
+              and backend._pool is None)
         os._exit(0 if ok else 1)
     deadline = time.monotonic() + 60
     while True:

@@ -372,6 +372,23 @@ def test_snow_scatter_range_beyond_r_max_exits_1(tmp_path, capsys, command):
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize("command", ["build-data", "train"])
+def test_snow_scatter_count_beyond_the_grid_exits_1(tmp_path, capsys, command):
+    # forge.corrupt draws scatter_count returns at once, so a count past the
+    # sensor's 64x1024 pixels is rejected before any draw is allocated.
+    # Level 0 is within bounds.
+    path = tmp_path / "severity.cfg"
+    path.write_text("[snow.0]\nscatter_count = 65536\n"
+                    "[snow.1]\nscatter_count = 1e15\n")
+    cfg = _write_config(tmp_path, toy="false", corruption_file=str(path))
+    assert cli.main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {path}: [snow.1]: scatter_count = "
+                   "1000000000000000 is more than the 64x1024 = 65536 "
+                   "pixels of the sensor\n")
+    assert not (tmp_path / "data").exists()
+
+
 # One line template in both hand-written files, with each file's own key and
 # a valid value for it: the two must give the same verdict. The error line
 # is None where the line is accepted.
@@ -856,6 +873,19 @@ def test_eval_truncated_scan_exits_1(trained, tmp_path, capsys):
                      "--reference", str(ref)]) == 1
     err = capsys.readouterr().err
     assert "cut.olri" in err and err.count("\n") == 1
+
+
+def test_eval_reference_with_nan_range_exits_1(trained, tmp_path, capsys):
+    src_tmp, _ = trained
+    gen = src_tmp / "data" / "ToyNear"
+    img = geometry.read_olri(sorted(gen.glob("*.olri"))[0])
+    img.range[tuple(np.argwhere(img.valid)[0])] = np.nan
+    (tmp_path / "ref").mkdir()
+    geometry.write_olri(tmp_path / "ref" / "nan.olri", img)
+    assert cli.main(["eval", "--generated", str(gen),
+                     "--reference", str(tmp_path / "ref")]) == 1
+    err = capsys.readouterr().err
+    assert "nan.olri: valid pixel" in err and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

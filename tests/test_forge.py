@@ -342,6 +342,24 @@ def test_build_dataset_skips_unreadable(tmp_path):
     assert summary["skipped"][0][1] == bad
 
 
+def test_build_dataset_skips_scan_with_range_beyond_r_max(tmp_path):
+    rng = np.random.default_rng(15)
+    cfg = geo.SensorConfig(4, 8, 0.05, -0.4, 80.0)
+    good = str(tmp_path / "good.olri")
+    geo.write_olri(good, random_image(rng, cfg))
+    img = random_image(rng, cfg)
+    img.range[img.valid] = np.nan
+    odd = str(tmp_path / "odd.olri")
+    geo.write_olri(odd, img)
+    spec = forge.DomainSpec(id="Vehicle", prompt_pool=("p",), sensor=cfg)
+    index, summary = forge.build_dataset(
+        {"vehicle": [(good, "train"), (odd, "train")]}, [spec],
+        str(tmp_path / "out"), 0)
+    assert [r[0] for r in index.records] == [os.path.join("Vehicle", "good.olri")]
+    assert [(d, p) for d, p, _ in summary["skipped"]] == [("Vehicle", odd)]
+    assert "odd.olri: valid pixel" in summary["skipped"][0][2]
+
+
 def test_build_dataset_skips_truncated_scan(tmp_path):
     rng = np.random.default_rng(14)
     cfg = geo.SensorConfig(4, 8, 0.05, -0.4, 80.0)

@@ -343,6 +343,27 @@ def _small_olri_bytes(tmp_path):
     return path.read_bytes()
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -5.0, 50.5],
+                         ids=["nan", "inf", "-inf", "negative", "beyond_r_max"])
+def test_olri_valid_pixel_out_of_range_rejected(tmp_path, value):
+    # r_max = 50 m. Pixel (1, 1) is valid and (0, 1) is not: an invalid
+    # pixel may hold anything, and 0 and r_max themselves are in range.
+    cfg = geo.SensorConfig(2, 3, 0.1, -0.2, 50.0)
+    valid = np.array([[True, False, True], [True, True, False]])
+    path = tmp_path / "odd.olri"
+    for r11, ok in [(50.0, True), (0.0, True), (value, False)]:
+        r = np.where(valid, 10.0, 0.0)
+        r[1, 1], r[0, 1] = r11, value
+        geo.write_olri(path, geo.RangeImage(r, np.where(valid, 0.5, 0.0),
+                                            valid, cfg))
+        if ok:
+            assert geo.read_olri(path).range[1, 1] == r11
+        else:
+            with pytest.raises(ConfigError, match=r"odd.olri: valid pixel "
+                               r"\(1, 1\) has range .* outside \[0, 50\]"):
+                geo.read_olri(path)
+
+
 def test_olri_every_truncation_rejected(tmp_path):
     raw = _small_olri_bytes(tmp_path)
     path = tmp_path / "cut.olri"
