@@ -214,6 +214,7 @@ def _gemm(a, b, out=None):
     stack (up to 3-D) splits into runs of whole products, a single product
     along its longer output axis (see the module docstring's GEMM shapes).
     """
+    # numpy may take a @ a.T by syrk, whose bits no split product matches.
     if (not _split_gemms or _pool is None or min(a.ndim, b.ndim) < 2
             or max(a.ndim, b.ndim) > 3 or np.may_share_memory(a, b)):
         return np.matmul(a, b, out=out)

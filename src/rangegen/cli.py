@@ -193,8 +193,9 @@ def domain_specs_from_config(cfg):
     if cfg.corruption_file:
         tables = forge.parse_corruption_file(cfg.corruption_file)
         # Snow returns are drawn out to scatter_range and written as valid,
-        # so a range past the sensor's r_max would make returns it cannot see;
-        # scatter_count draws are allocated at once, one per pixel at most.
+        # so a range past the sensor's r_max would make returns it cannot see.
+        # Their scatter_count draws are allocated at once: refuse more draws
+        # than the sensor has pixels before any allocation is tried.
         pixels = cfg.image_height * cfg.image_width
         for level, table in enumerate(tables.get("snow", ())):
             where = f"{cfg.corruption_file}: [snow.{level}]"
