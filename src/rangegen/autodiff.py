@@ -1,29 +1,32 @@
 """Reverse-mode autodiff over dense numpy arrays.
 
-A recorded-tape design: every operation returns a new Tensor holding the
-result and, when one of its operands has ``requires_grad``, a tape node
-(``_Node``): the result's gradient slot, dtype and shape, its parents'
-nodes and the backward closure that pushes a gradient to them. A leaf (a
-tensor made directly, such as a parameter or an input) is its own node.
-Tensors are immutable after creation; ``backward()`` from a scalar loss
-populates ``.grad`` on every reachable leaf flagged ``requires_grad``. An
-op's output keeps its gradient only until its closure has pushed it to
-the parents; then ``backward()`` sets it back to None, so a step's
-intermediate gradients do not pile up. An output Tensor reads and writes
-its node's ``grad`` and ``_backward`` and reads its ``_parents``.
+A recorded-tape design: every tensor that needs a gradient owns exactly
+one tape node (``_Node``): its gradient slot, dtype and shape, its
+parents' nodes and the backward closure that pushes a gradient to them.
+``Tensor(x, requires_grad=True)`` (a leaf, such as a parameter) makes a
+node with no parents and no closure; an operation returns a new Tensor
+holding the result and, when one of its operands has a node, a node of
+its own. A Tensor's ``requires_grad`` is whether it has a node, and its
+``grad`` and ``_backward`` are its node's. A node takes its dtype and
+shape when it is made, so code that replaces a leaf's ``data`` (loading
+a checkpoint) keeps both. Tensors are immutable after creation;
+``backward()`` from a scalar loss populates ``.grad`` on every reachable
+leaf. An op's output keeps its gradient only until its closure has
+pushed it to the parents; then ``backward()`` sets it back to None, so a
+step's intermediate gradients do not pile up.
 
 Tests run everything in float64; training and sampling use float32 for
 speed (the sampler runs the network in its parameters' dtype), and
 checkpoints round-trip bit-exactly.
 
 Tape lifetime. An op records a node only when one of its operands has
-``requires_grad``; otherwise its result is a plain Tensor with no parents
-and no closure. The graph holds exactly what backward reads: a node holds
-no array, and a closure captures the arrays its backward reads, the
-shapes it needs and its parents' nodes, never a parent Tensor (the
-saved-tensor design of PyTorch's autograd, Paszke et al. 2019). So an
-activation is freed as soon as the forward code drops its Tensor, unless
-some closure reads it, and nothing is recomputed for it. A tape lives from its forward pass until its
+one; otherwise its result is a plain Tensor with no node. The graph
+holds exactly what backward reads: a node holds no array, and a closure
+captures the arrays its backward reads, the shapes it needs and its
+parents' nodes, never a Tensor (the saved-tensor design of PyTorch's
+autograd, Paszke et al. 2019). So an activation is freed as soon as the
+forward code drops its Tensor, unless some closure reads it, and nothing
+is recomputed for it. A tape lives from its forward pass until its
 training step ends: the training loop drops the loss after the optimizer
 step, checkpointing and logging, so the next forward pass never builds
 its graph beside the last one. The sampler needs no gradients, so it
@@ -77,13 +80,12 @@ from .errors import ConfigError, NumericError, ShapeError
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "_grad", "_node")
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data)
-        self.requires_grad = bool(requires_grad)
-        self._grad = None
-        self._node = None  # the op's tape node; None for a leaf
+        # None when no gradient is needed; `_make` sets an op output's.
+        self._node = _Node(self.data, (), None) if requires_grad else None
 
     @property
     def shape(self):
@@ -93,21 +95,17 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    # A leaf keeps its own gradient; an op's output reads its node's.
+    @property
+    def requires_grad(self):
+        return self._node is not None
+
     @property
     def grad(self):
-        return self._grad if self._node is None else self._node.grad
+        return None if self._node is None else self._node.grad
 
     @grad.setter
     def grad(self, g):
-        if self._node is None:
-            self._grad = g
-        else:
-            self._node.grad = g
-
-    @property
-    def _parents(self):
-        return () if self._node is None else self._node._parents
+        self._node.grad = g
 
     @property
     def _backward(self):
@@ -125,28 +123,27 @@ class Tensor:
         return add(self, other)
 
     def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, mul(other, -1.0))
-        return add(self, -other)
+        # A constant takes this tensor's dtype, as `add` would give it.
+        return add(self, mul(_wrap(other, self), -1.0))
 
     def backward(self):
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar, got shape {self.shape}")
-        root = self if self._node is None else self._node
-        root.grad = np.ones_like(self.data)
-        for node in reversed(_toposort(root)):
+        if self._node is None:
+            return
+        self._node.grad = np.ones_like(self.data)
+        for node in reversed(_toposort(self._node)):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
                 node.grad = None  # pushed to the parents; free it now
 
 
 class _Node:
-    """An op's output on the tape: its gradient slot, dtype and shape, the
-    nodes of its parents that need a gradient, and its backward closure.
-    It holds no array, so the output's data lives only as long as its
-    Tensor or a closure that reads it."""
+    """A tensor on the tape: its gradient slot, dtype and shape, the nodes
+    of its parents that need a gradient, and its backward closure (a leaf
+    has neither). It holds no array, so an op output's data lives only as
+    long as its Tensor or a closure that reads it."""
     __slots__ = ("grad", "dtype", "shape", "_parents", "_backward")
-    requires_grad = True
 
     def __init__(self, data, parents, backward):
         self.grad = None
@@ -184,22 +181,13 @@ def _wrap(x, like=None):
     return Tensor(np.asarray(x, dtype=dtype))
 
 
-def _node_of(t):
-    """Where t's gradient goes: its op's node, t itself for a leaf with
-    ``requires_grad``, or None when t needs no gradient."""
-    if t._node is not None:
-        return t._node
-    return t if t.requires_grad else None
-
-
 def _make(data, parents, backward):
     """The op's output Tensor, with a node on the tape when any of the
-    parent nodes (as `_node_of` gives them) is not None. `backward` may
-    read only what it captured, never a parent Tensor."""
+    parents' nodes is not None. `backward` may read only what it
+    captured, never a Tensor."""
     out = Tensor(data)
-    parents = tuple(filter(None, parents))  # a node or a Tensor is true
+    parents = tuple(filter(None, parents))
     if parents:
-        out.requires_grad = True
         out._node = _Node(out.data, parents, backward)
     return out
 
@@ -242,7 +230,7 @@ def _unbroadcast(g, shape):
 def add(a, b):
     a = _wrap(a, b if isinstance(b, Tensor) else None)
     b = _wrap(b, a)
-    na, nb, sa, sb = _node_of(a), _node_of(b), a.data.shape, b.data.shape
+    na, nb, sa, sb = a._node, b._node, a.data.shape, b.data.shape
 
     def bwd(g):
         _accum(na, _unbroadcast(g, sa))
@@ -254,7 +242,7 @@ def add(a, b):
 def mul(a, b):
     a = _wrap(a, b if isinstance(b, Tensor) else None)
     b = _wrap(b, a)
-    na, nb, sa, sb = _node_of(a), _node_of(b), a.data.shape, b.data.shape
+    na, nb, sa, sb = a._node, b._node, a.data.shape, b.data.shape
     # Each operand is kept only for its partner's gradient.
     xa = a.data if nb is not None else None
     xb = b.data if na is not None else None
@@ -270,7 +258,7 @@ def mul(a, b):
 
 def power(a, p):
     a = _wrap(a)
-    na, x = _node_of(a), a.data
+    na, x = a._node, a.data
 
     def bwd(g):
         _accum(na, g * p * x ** (p - 1))
@@ -280,7 +268,7 @@ def power(a, p):
 
 def exp(a):
     a = _wrap(a)
-    na, data = _node_of(a), np.exp(a.data)
+    na, data = a._node, np.exp(a.data)
 
     def bwd(g):
         _accum(na, g * data)
@@ -290,7 +278,7 @@ def exp(a):
 
 def tanh(a):
     a = _wrap(a)
-    na, data = _node_of(a), np.tanh(a.data)
+    na, data = a._node, np.tanh(a.data)
 
     def bwd(g):
         _accum(na, g * (1.0 - data * data))
@@ -300,7 +288,7 @@ def tanh(a):
 
 def silu(a):
     a = _wrap(a)
-    na, x = _node_of(a), a.data
+    na, x = a._node, a.data
     data, = backend._tiled(lambda x, out: (backend._silu_np(x, out[0]),), (x,),
                            lambda: [(x.shape, x.dtype)])
 
@@ -315,7 +303,7 @@ def silu(a):
 
 def softplus(a):
     a = _wrap(a)
-    na, x = _node_of(a), a.data
+    na, x = a._node, a.data
 
     def bwd(g):
         _accum(na, g * backend._sigmoid_np(x))
@@ -329,7 +317,7 @@ def softplus(a):
 
 def tsum(a, axis=None, keepdims=False):
     a = _wrap(a)
-    na, shape = _node_of(a), a.data.shape
+    na, shape = a._node, a.data.shape
 
     def bwd(g):
         gg = g
@@ -350,7 +338,7 @@ def tmean(a, axis=None, keepdims=False):
 
 def reshape(a, shape):
     a = _wrap(a)
-    na, old = _node_of(a), a.data.shape
+    na, old = a._node, a.data.shape
 
     def bwd(g):
         _accum(na, g.reshape(old))
@@ -360,7 +348,7 @@ def reshape(a, shape):
 
 def transpose(a, axes):
     a = _wrap(a)
-    na, inv = _node_of(a), tuple(np.argsort(axes))
+    na, inv = a._node, tuple(np.argsort(axes))
 
     def bwd(g):
         _accum(na, np.transpose(g, inv))
@@ -370,7 +358,7 @@ def transpose(a, axes):
 
 def concat(tensors, axis):
     tensors = [_wrap(t) for t in tensors]
-    nodes = [_node_of(t) for t in tensors]
+    nodes = [t._node for t in tensors]
     splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
 
     def bwd(g):
@@ -383,7 +371,7 @@ def concat(tensors, axis):
 
 def narrow(a, axis, start, length):
     a = _wrap(a)
-    na, shape, dtype = _node_of(a), a.data.shape, a.data.dtype
+    na, shape, dtype = a._node, a.data.shape, a.data.dtype
     sl = [slice(None)] * a.data.ndim
     sl[axis] = slice(start, start + length)
     sl = tuple(sl)
@@ -403,7 +391,7 @@ def embedding(table, idx):
         raise IndexError(
             f"embedding index out of range [0, {table.data.shape[0]})"
         )
-    nt, shape, dtype = _node_of(table), table.data.shape, table.data.dtype
+    nt, shape, dtype = table._node, table.data.shape, table.data.dtype
 
     def bwd(g):
         full = np.zeros(shape, dtype)
@@ -421,7 +409,7 @@ def matmul(a, b):
     a, b = _wrap(a), _wrap(b)
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul: inner extents differ, {a.shape} x {b.shape}")
-    na, nb, sa, sb = _node_of(a), _node_of(b), a.data.shape, b.data.shape
+    na, nb, sa, sb = a._node, b._node, a.data.shape, b.data.shape
     # Each operand is kept only for its partner's gradient.
     xa = a.data if nb is not None else None
     xb = b.data if na is not None else None
@@ -456,7 +444,7 @@ def layer_norm(x, gain, bias, axis=-1, silu=False):
     the result has the bits of silu(layer_norm(x, gain, bias, axis)).
     """
     x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
-    nx, ng, nb = _node_of(x), _node_of(gain), _node_of(bias)
+    nx, ng, nb = x._node, gain._node, bias._node
     gshape, bshape = gain.data.shape, bias.data.shape
     xd = x.data
     nd = xd.ndim
@@ -520,11 +508,11 @@ def conv2d(x, w, b=None, stride=1):
     data = backend._conv_forward(backend._pad_conv(x.data, ph, pw),
                                  w.data.reshape(O, C * kk), kh, kw, stride,
                                  Hs, Ws)
-    nx, nw, nb = _node_of(x), _node_of(w), None
+    nx, nw, nb = x._node, w._node, None
     if b is not None:
         b = _wrap(b)
         data += b.data[:, None, None]
-        nb = _node_of(b)
+        nb = b._node
     # The input is kept only for the kernel's gradient, and the kernel only
     # for the input's.
     xd = x.data if nw is not None else None
@@ -569,7 +557,7 @@ def conv2d(x, w, b=None, stride=1):
 def upsample2x(x):
     """Nearest-neighbor 2x spatial upsampling of a BCHW tensor."""
     x = _wrap(x)
-    nx = _node_of(x)
+    nx = x._node
     B, C, H, W = x.data.shape
     # Columns by a repeat, rows by one broadcast copy of whole rows: twice
     # as fast as a broadcast copy of single pixels, whose inner run is 2.
@@ -600,7 +588,7 @@ def recurrence(abar, q):
     abar, q = _wrap(abar), _wrap(q)
     if abar.data.shape != q.data.shape:
         raise ShapeError(f"recurrence: {abar.shape} vs {q.shape}")
-    na, nq, ad = _node_of(abar), _node_of(q), abar.data
+    na, nq, ad = abar._node, q._node, abar.data
     h = backend.scan_forward(ad, q.data)
 
     def bwd(g):

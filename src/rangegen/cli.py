@@ -481,7 +481,8 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (ConfigError, MetricError, TrainingError, OSError) as exc:
+    except (ConfigError, MetricError, TrainingError, OSError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal invariant violation

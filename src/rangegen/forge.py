@@ -174,7 +174,7 @@ def corrupt(img, spec, severity, rng):
     rng_img[drop] = 0.0
     inten[drop] = 0.0
     survivors = target & valid
-    inten[survivors] = np.clip(inten[survivors] * atten, 0.0, 1.0)
+    np.copyto(inten, np.clip(inten * atten, 0.0, 1.0), where=survivors)
 
     if spec.kind == "snow" and scatter_count > 0:
         vs = rng.integers(0, cfg.height, scatter_count)

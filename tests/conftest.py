@@ -145,11 +145,11 @@ def conv2d_reference(x, w, b=None, stride=1):
     data = np.matmul(wd.reshape(O, C * kh * kw),
                      _im2col_reference(xp, kh, kw, stride))
     data = data.reshape(B, O, Hs, Ws)
-    nx, nw, nb = ad._node_of(x), ad._node_of(w), None
+    nx, nw, nb = x._node, w._node, None
     if b is not None:
         b = ad._wrap(b)
         data += b.data[:, None, None]
-        nb = ad._node_of(b)
+        nb = b._node
 
     def bwd(g):
         g2 = g.reshape(B, O, Hs * Ws)
@@ -204,7 +204,7 @@ def upsample2x_backward_reference(g):
 def upsample2x_reference(x):
     """Drop-in for `ad.upsample2x` with the reshape-sum backward."""
     x = ad._wrap(x)
-    nx = ad._node_of(x)
+    nx = x._node
     data = x.data.repeat(2, axis=2).repeat(2, axis=3)
 
     def bwd(g):
@@ -222,7 +222,7 @@ def upsample2x_reference(x):
 def silu_reference(a):
     """Drop-in for `ad.silu` that keeps its gate for backward."""
     a = ad._wrap(a)
-    na, x = ad._node_of(a), a.data
+    na, x = a._node, a.data
     s = backend._sigmoid_np(x)
 
     def bwd(g):
@@ -237,7 +237,7 @@ def layer_norm_reference(x, gain, bias, eps=1e-5, axis=-1, silu=False):
     if silu:
         return silu_reference(layer_norm_reference(x, gain, bias, eps, axis))
     x, gain, bias = ad._wrap(x), ad._wrap(gain), ad._wrap(bias)
-    nx, ng, nb = ad._node_of(x), ad._node_of(gain), ad._node_of(bias)
+    nx, ng, nb = x._node, gain._node, bias._node
     nd = x.data.ndim
     axis %= nd
     feat = [1] * nd

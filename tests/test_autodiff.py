@@ -667,7 +667,7 @@ def test_fused_norm_silu_matches_references_at_elision_size(x_layout):
     assert g.nbytes >= 256 << 10
     ts = [ad.Tensor(a, requires_grad=True) for a in (x, gain, bias)]
     z = silu_reference(layer_norm_reference(*ts, axis=1))
-    y = z._parents[0]
+    y = z._node._parents[0]
     z._backward(g)
     y._backward(y.grad)
     ref = [z.data] + [t.grad for t in ts]
@@ -1072,15 +1072,27 @@ def test_output_tensors_keep_the_tracer_contract(monkeypatch):
         np.float32)
     loss = diffusion.diffusion_loss(params, cfg, diffusion.cosine_schedule(64),
                                     x0, zc, np.array([0, 1]), rng)
-    order = ad._toposort(loss)
-    assert order[-1] is loss and len(wrapped) > 100
+    order = ad._toposort(loss._node)
+    assert order[-1] is loss._node and len(wrapped) > 100
     assert sorted(id(n._backward) for n in order) == sorted(map(id, wrapped))
     loss.backward()
     assert sorted(map(id, calls)) == sorted(map(id, wrapped))
     assert all(p.grad is not None for p in params.values())
     plain = ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((3, 2))))
-    assert plain._backward is None and plain._parents == ()
+    assert plain._backward is None and plain._node is None
     assert not plain.requires_grad and plain.grad is None
+
+
+def test_leaf_owns_a_node_without_parents():
+    leaf = ad.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    assert type(leaf._node) is ad._Node and leaf._node._parents == ()
+    assert leaf._backward is None and leaf.grad is None
+    with pytest.raises(AttributeError):
+        setattr(leaf, "requires_grad", False)
+    assert leaf.requires_grad
+    plain = ad.tsum(ad.Tensor(np.array([1.0, 2.0])))
+    plain.backward()
+    assert plain._node is None and plain.grad is None
 
 
 def test_backward_requires_scalar():

@@ -326,6 +326,20 @@ def test_train_on_corpus_with_unknown_domains_exits_1(trained, tmp_path,
     assert "ToyFar, ToyNear" in err and not (tmp_path / "run").exists()
 
 
+# Each size makes a parameter of more than 2^57 bytes, beyond any virtual
+# address space, so numpy refuses it at once with a one-line MemoryError.
+@pytest.mark.parametrize("key, value", [
+    ("token_count", 10**16), ("dk", 10**16), ("time_width", 10**9),
+    ("widths", "8,1000000000000000")])
+def test_oversized_model_size_exits_1(trained, tmp_path, capsys, key, value):
+    src_tmp, _ = trained
+    cfg = _write_config(tmp_path, data_dir=str(src_tmp / "data"),
+                        **{key: value})
+    assert cli.main(["train", "--config", cfg, "--steps", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("text, line, named", [
     (b"[fog.x]\ndropout_slope = 0.01\n", 1, "[fog.x]"),
     (b"[fog.0]\ndropout_slope = abc\n", 2, "[fog.0]: dropout_slope"),
