@@ -103,8 +103,13 @@ _MINIMUM = {
     "grad_clip": 0.0, "ckpt_every": 1, "toy_scans": 1,
 }
 
-# The RunConfig fields that DenoiserConfig shares, and what `train` stores
-# in ckpt_final.olck for `sample`: the model, its sensor and its schedule.
+# The largest model sizes. A product of two stays far below numpy's 2^63-byte
+# limit on one array, which it would refuse with a ValueError (exit 2).
+_MAXIMUM = {key: 2**20 for key in
+            ("widths", "time_width", "cond_dim", "dk", "token_count")}
+
+# The RunConfig fields that DenoiserConfig shares, and what every checkpoint
+# records for `sample` and `train --resume`: the model, sensor and schedule.
 _MODEL_KEYS = tuple(f.name for f in dataclasses.fields(DenoiserConfig)
                     if f.name in _FIELD_TYPES)
 _CHECKPOINT_KEYS = (*_MODEL_KEYS, "image_height", "image_width", "fov_up_deg",
@@ -118,16 +123,17 @@ def _is_int(value):
 def _checked(key, kind, value):
     """`value` as config key `key` of type `kind` (a list becomes a tuple,
     an int a float); ConfigError naming the key if it is not one."""
-    low = _MINIMUM.get(key)
-    bound = "" if low is None else f" >= {low}"
+    low, high = _MINIMUM.get(key, -math.inf), _MAXIMUM.get(key, math.inf)
+    bound = (f" in [{low}, {high}]" if key in _MAXIMUM
+             else f" >= {low}" if key in _MINIMUM else "")
     if kind is tuple:
         need = 1 if key == "widths" else 0  # the UNet needs one stage
         ok = (isinstance(value, (list, tuple)) and len(value) >= need
-              and all(_is_int(v) and v >= low for v in value))
+              and all(_is_int(v) and low <= v <= high for v in value))
         what = ("a non-empty " if need else "a ") + "list of integers" + bound
     elif kind in (int, float):
         ok = ((_is_int(value) or kind is float and isinstance(value, float))
-              and math.isfinite(value) and (low is None or value >= low))
+              and math.isfinite(value) and low <= value <= high)
         what = ("an integer" if kind is int else "a finite number") + bound
     else:
         ok = isinstance(value, kind)
@@ -298,7 +304,7 @@ def cmd_train(args):
         cfg = dataclasses.replace(cfg, sampler=args.sampler)
     if args.steps is not None:
         cfg = dataclasses.replace(cfg, train_steps=args.steps)
-    # The final checkpoint must be one that `sample` can run.
+    # Every checkpoint must be one that `sample` can run.
     _check_sampler_steps(cfg)
     _check_toy_sensor(cfg)
     specs = domain_specs_from_config(cfg)
@@ -312,6 +318,9 @@ def cmd_train(args):
     params = init_denoiser(dconf, rng, dtype=np.float32)
     schedule = diffusion.cosine_schedule(cfg.schedule_t)
 
+    run = {key: getattr(cfg, key)
+           for key in (*_CHECKPOINT_KEYS, "seed", "lr", "weight_decay")}
+
     def log(step, value):
         print(f"step {step}: loss {value:.5f}")
 
@@ -320,13 +329,10 @@ def cmd_train(args):
         steps=cfg.train_steps, seed=cfg.seed, batch_size=cfg.batch_size,
         lr=cfg.lr, weight_decay=cfg.weight_decay, sampler=cfg.sampler,
         out_dir=cfg.out_dir, ckpt_every=cfg.ckpt_every,
-        resume_from=args.resume, grad_clip=cfg.grad_clip or None, log_fn=log)
-    # A resumed run keeps the seed of its checkpoint, as `train` does.
-    seed = read_checkpoint(args.resume)[1]["seed"] if args.resume else cfg.seed
+        resume_from=args.resume, grad_clip=cfg.grad_clip or None, log_fn=log,
+        run=run)
     final = os.path.join(cfg.out_dir, "ckpt_final.olck")
-    save_training_checkpoint(
-        final, params, opt, cfg.train_steps, seed,
-        extra={key: getattr(cfg, key) for key in _CHECKPOINT_KEYS})
+    save_training_checkpoint(final, params, opt, cfg.train_steps, run)
     print(f"final checkpoint: {final}")
     return 0
 
@@ -357,9 +363,8 @@ def cmd_sample(args):
     buffers, meta = read_checkpoint(args.checkpoint)
     missing = set(_CHECKPOINT_KEYS) - meta.keys()
     if missing:
-        raise ConfigError(f"{args.checkpoint}: metadata lacks "
-                          f"{sorted(missing)} (use the final checkpoint "
-                          "written by train)")
+        raise ConfigError(
+            f"{args.checkpoint}: metadata lacks {sorted(missing)}")
     try:
         cfg = dataclasses.replace(
             cfg, **{key: meta[key] for key in _CHECKPOINT_KEYS})

@@ -4,11 +4,12 @@ Two sampling strategies: mixed-domain batches drawn i.i.d. from the
 pooled training set (the default), and the batch-homogeneous baseline
 where every mini-batch holds a single domain. Both are pure functions
 of (index, batch size, seed, step), which also makes resumption
-bit-identical: all randomness is keyed by (seed, step).
+bit-identical: all randomness is keyed by (seed, step), and a run resumes
+only under the values its checkpoint records.
 """
 
 import itertools
-import math
+import json
 import os
 
 import numpy as np
@@ -95,13 +96,10 @@ def assemble_batch(plan, cache, dom_to_idx):
     return x0, zc, dom
 
 
-def save_training_checkpoint(path, params, opt, step, seed, extra=None):
+def save_training_checkpoint(path, params, opt, step, run):
     buffers = {name: p.data for name, p in params.items()}
     buffers.update(opt.state_buffers())
-    meta = {"step": step, "seed": seed, "opt_step": opt.step_count,
-            "lr": opt.lr, "weight_decay": opt.weight_decay}
-    if extra:
-        meta.update(extra)
+    meta = {"step": step, "opt_step": opt.step_count, **run}
     write_checkpoint(path, buffers, meta)
 
 
@@ -120,23 +118,23 @@ def _load_params(path, buffers, params):
         p.data = buffers[name].astype(p.data.dtype)
 
 
-def load_training_checkpoint(path, params, opt):
+def load_training_checkpoint(path, params, opt, run):
+    """Load `path` into `params` and `opt` if it records `run`, as JSON."""
     buffers, meta = read_checkpoint(path)
-    missing = {"step", "seed", "opt_step", "lr", "weight_decay"} - meta.keys()
+    missing = {"step", "opt_step", *run} - meta.keys()
     if missing:
         raise ConfigError(f"checkpoint {path} metadata lacks {sorted(missing)}")
-    for key in ("step", "seed", "opt_step", "lr", "weight_decay"):
-        value, real = meta[key], key in ("lr", "weight_decay")
-        if (isinstance(value, bool)
-                or not isinstance(value, (int, float) if real else int)
-                or not value >= 0 or value == math.inf):
-            raise ConfigError(
-                f"{path}: metadata {key!r} must be a non-negative "
-                f"{'finite number' if real else 'integer'}, got {value!r}")
+    for key in ("step", "opt_step"):
+        if type(meta[key]) is not int or meta[key] < 0:
+            raise ConfigError(f"{path}: metadata {key!r} must be a "
+                              f"non-negative integer, got {meta[key]!r}")
+    for key, value in run.items():
+        ours, theirs = json.dumps(value), json.dumps(meta[key])
+        if ours != theirs:
+            raise ConfigError(f"{path}: config key {key!r} is {ours}, the "
+                              f"checkpoint's is {theirs}")
     _load_params(path, buffers, params)
     opt.load_state_buffers(buffers, meta["opt_step"])
-    opt.lr = meta["lr"]
-    opt.weight_decay = meta["weight_decay"]
     return meta
 
 
@@ -168,13 +166,15 @@ def _trim_trace(path, step):
 
 def train(params, config, schedule, data_dir, index, specs, steps, seed,
           batch_size, lr, weight_decay, sampler, out_dir, ckpt_every,
-          resume_from=None, grad_clip=None, log_every=50, log_fn=None):
+          resume_from=None, grad_clip=None, log_every=50, log_fn=None,
+          run=None):
     """Run the diffusion training loop; returns (optimizer, loss trace).
 
     The trace is a list of (step, loss), also written to out_dir/loss.csv.
-    Checkpoints are written every `ckpt_every` steps to out_dir; resuming
-    from one continues the loss trace bit-identically because all RNG
-    streams are keyed by step.
+    Every `ckpt_every` steps and after the last, a checkpoint in out_dir
+    records the step and the run's values: `run` (config values) with
+    `seed`, `lr` and `weight_decay`. Resuming needs equal values and
+    continues the trace bit-identically: RNG streams are keyed by step.
     """
     if sampler not in SAMPLERS:
         raise ConfigError(f"unknown sampler {sampler!r}")
@@ -184,12 +184,12 @@ def train(params, config, schedule, data_dir, index, specs, steps, seed,
         raise ConfigError(
             f"{data_dir}: the corpus holds domains {', '.join(unknown)} that "
             f"the config lacks (it has {', '.join(dom_to_idx)})")
+    run = {**(run or {}), "seed": seed, "lr": lr, "weight_decay": weight_decay}
     opt = AdamW(lr=lr, weight_decay=weight_decay)
     start_step = 0
     if resume_from is not None:
-        meta = load_training_checkpoint(resume_from, params, opt)
-        start_step = meta["step"]
-        seed = meta["seed"]
+        start_step = load_training_checkpoint(
+            resume_from, params, opt, run)["step"]
         if steps < start_step:
             raise ConfigError(f"cannot train to step {steps}: {resume_from} "
                               f"is already at step {start_step}")
@@ -230,7 +230,7 @@ def train(params, config, schedule, data_dir, index, specs, steps, seed,
             if (step + 1) % ckpt_every == 0 or step == steps - 1:
                 save_training_checkpoint(
                     os.path.join(out_dir, f"ckpt_{step + 1:07d}.olck"),
-                    params, opt, step + 1, seed)
+                    params, opt, step + 1, run)
             # Drop this step's tape before the next forward pass builds one,
             # so two graphs never share the memory peak.
             del loss

@@ -224,13 +224,17 @@ def test_train_resume_continues_trace(trained, tmp_path):
     src_tmp, _ = trained
     run = tmp_path / "run"
     shutil.copytree(src_tmp / "run", run)
+    written = ("ckpt_0000006.olck", "ckpt_final.olck")
+    for name in written:
+        (run / name).unlink()
     cfg = _write_config(tmp_path, data_dir=str(src_tmp / "data"))
-    full = (run / "loss.csv").read_text()
     assert cli.main(["train", "--config", cfg, "--resume",
                      str(run / "ckpt_0000003.olck")]) == 0
     # The rows from step 3 on are replaced, not appended a second time, by
-    # rows identical to the uninterrupted run's.
-    assert (run / "loss.csv").read_text() == full
+    # rows identical to the uninterrupted run's, and the checkpoints written
+    # after step 3 are the uninterrupted run's byte for byte.
+    for name in (*written, "loss.csv"):
+        assert (run / name).read_bytes() == (src_tmp / "run" / name).read_bytes()
     assert not (run / "loss.csv.tmp").exists()
 
 
@@ -242,7 +246,7 @@ def test_train_resume_other_widths_exits_1(trained, tmp_path, capsys):
     assert cli.main(["train", "--config", cfg, "--resume", ckpt]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "shape" in err and not (tmp_path / "run").exists()
+    assert "'widths'" in err and not (tmp_path / "run").exists()
 
 
 def test_train_resume_below_checkpoint_step_exits_1(trained, tmp_path,
@@ -261,26 +265,45 @@ def test_train_resume_below_checkpoint_step_exits_1(trained, tmp_path,
     assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
 
-def test_resumed_run_final_checkpoint_keeps_its_seed(trained, tmp_path):
-    # The seed-7 run resumed at step 3 under a seed-0 config continues with
-    # seed 7, and so must its final checkpoint: training on from it and from
-    # the step-6 checkpoint gives the same losses.
+def test_every_checkpoint_of_a_run_can_be_sampled(trained, tmp_path):
+    src_tmp, cfg = trained
+    run = src_tmp / "run"
+    assert ((run / "ckpt_0000006.olck").read_bytes()
+            == (run / "ckpt_final.olck").read_bytes())
+    assert cli.main(["sample", "--config", cfg, "--checkpoint",
+                     str(run / "ckpt_0000003.olck"), "--domain", "ToyNear",
+                     "--steps", "2", "--out", str(tmp_path / "samples")]) == 0
+    assert len(list((tmp_path / "samples").glob("*.olri"))) == 1
+
+
+# A run value changed between a run and its resumption: config entries, and
+# the value the message shows.
+_CHANGED_RUN_VALUE = {
+    "seed": ({"seed": 0}, "0"),
+    "lr": ({"lr": 0.5}, "0.5"),
+    "weight_decay": ({"weight_decay": 0.01}, "0.01"),
+    "schedule_t": ({"schedule_t": 32, "sampler_steps": 32}, "32"),
+    "dafs_bound": ({"dafs_bound": 0.5}, "0.5"),
+    "token_count": ({"token_count": 4}, "4"),
+    "use_dafs": ({"use_dafs": "false"}, "false"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_CHANGED_RUN_VALUE))
+def test_train_resume_with_another_run_value_exits_1(trained, tmp_path,
+                                                     capsys, key):
+    entries, shown = _CHANGED_RUN_VALUE[key]
     src_tmp, _ = trained
-    data = str(src_tmp / "data")
-    cfg = _write_config(tmp_path, seed=0, data_dir=data)
+    run = tmp_path / "run"
+    shutil.copytree(src_tmp / "run", run)
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    cfg = _write_config(tmp_path, data_dir=str(src_tmp / "data"), **entries)
     assert cli.main(["train", "--config", cfg, "--resume",
-                     str(src_tmp / "run" / "ckpt_0000003.olck")]) == 0
-    final = tmp_path / "run" / "ckpt_final.olck"
-    assert read_checkpoint(final)[1]["seed"] == 7
-    traces = []
-    for name in ("ckpt_0000006.olck", "ckpt_final.olck"):
-        work = tmp_path / name
-        work.mkdir()
-        cont = _write_config(work, seed=0, data_dir=data)
-        assert cli.main(["train", "--config", cont, "--steps", "8",
-                         "--resume", str(tmp_path / "run" / name)]) == 0
-        traces.append((work / "run" / "loss.csv").read_text())
-    assert traces[0] == traces[1] and traces[0].count("\n") == 3
+                     str(run / "ckpt_0000003.olck")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"ckpt_0000003.olck: config key {key!r} is {shown}," in err
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
 
 # A config key off the toy sensor -> its value, and what the error shows of
@@ -326,18 +349,29 @@ def test_train_on_corpus_with_unknown_domains_exits_1(trained, tmp_path,
     assert "ToyFar, ToyNear" in err and not (tmp_path / "run").exists()
 
 
-# Each size makes a parameter of more than 2^57 bytes, beyond any virtual
-# address space, so numpy refuses it at once with a one-line MemoryError.
+# Each size would make a parameter beyond any virtual address space, or (for
+# time_width 10^11) beyond numpy's limit on one array; the config's bound on
+# model sizes refuses it before anything is allocated.
 @pytest.mark.parametrize("key, value", [
     ("token_count", 10**16), ("dk", 10**16), ("time_width", 10**9),
-    ("widths", "8,1000000000000000")])
+    ("time_width", 10**11), ("widths", "8,1000000000000000")])
 def test_oversized_model_size_exits_1(trained, tmp_path, capsys, key, value):
     src_tmp, _ = trained
     cfg = _write_config(tmp_path, data_dir=str(src_tmp / "data"),
                         **{key: value})
     assert cli.main(["train", "--config", cfg, "--steps", "1"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"config key {key!r} must be " in err and "1048576]" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_model_sizes_at_their_bound_make_a_config():
+    # Only the config is built: no parameter of this size is allocated.
+    big = 2**20
+    cfg = cli.RunConfig(widths=(big,) * 3, time_width=big, cond_dim=big,
+                        dk=big, token_count=big)
+    assert cli.denoiser_config_from(cfg, 8).widths == (big,) * 3
 
 
 @pytest.mark.parametrize("text, line, named", [

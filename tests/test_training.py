@@ -171,7 +171,7 @@ def test_train_resume_bit_identical(tmp_path):
 
     cfg2, params2, sched2, _, _, _ = _toy_pipeline(tmp_path, 6)
     _, resumed_trace = training.train(
-        params2, cfg2, sched2, data_dir, index, specs, steps=20, seed=123,
+        params2, cfg2, sched2, data_dir, index, specs, steps=20, seed=0,
         batch_size=4, lr=1e-3, weight_decay=0.0, sampler="cdts",
         out_dir=str(tmp_path / "resumed"), ckpt_every=10,
         resume_from=str(out_full / "ckpt_0000010.olck"))
@@ -473,6 +473,21 @@ def test_clip_grads_scales_a_shared_gradient_once_per_parameter():
     np.testing.assert_array_equal(grad, [3.0, 4.0])
 
 
+def test_train_with_grad_clip_changes_the_second_step(tmp_path):
+    # Clipping acts on the step-0 gradients, so only the steps after differ.
+    traces = []
+    for clip in (None, 1e-6):
+        cfg, params, sched, data_dir, index, specs = _toy_pipeline(tmp_path, 4)
+        _, trace = training.train(
+            params, cfg, sched, data_dir, index, specs, steps=2, seed=0,
+            batch_size=4, lr=1e-3, weight_decay=0.0, sampler="cdts",
+            out_dir=str(tmp_path / f"run{clip}"), ckpt_every=2,
+            grad_clip=clip)
+        traces.append([value for _, value in trace])
+    (plain0, plain1), (clipped0, clipped1) = traces
+    assert clipped0 == plain0 and clipped1 != plain1
+
+
 def test_train_unknown_sampler_rejected(tmp_path):
     cfg, params, sched, data_dir, index, specs = _toy_pipeline(tmp_path, 4)
     with pytest.raises(ConfigError):
@@ -489,19 +504,23 @@ def test_checkpoint_meta_roundtrip(tmp_path):
                             weight_decay=0.01, sampler="cdts",
                             out_dir=str(tmp_path / "run"), ckpt_every=3)
     path = str(tmp_path / "state.olck")
-    training.save_training_checkpoint(path, params, opt, 3, 0)
+    run = {"seed": 0, "lr": 1e-3, "weight_decay": 0.01, "widths": (8, 16)}
+    training.save_training_checkpoint(path, params, opt, 3, run)
     cfg2 = TOY_DENOISER_CONFIG
     params2 = init_denoiser(cfg2, np.random.default_rng(99), dtype=np.float32)
-    opt2 = AdamW(lr=0.0, weight_decay=0.0)
-    meta = training.load_training_checkpoint(path, params2, opt2)
-    assert meta["step"] == 3 and meta["seed"] == 0
+    opt2 = AdamW(lr=1e-3, weight_decay=0.01)
+    meta = training.load_training_checkpoint(path, params2, opt2, run)
+    assert meta == {"step": 3, "opt_step": opt.step_count, "seed": 0,
+                    "lr": 1e-3, "weight_decay": 0.01, "widths": [8, 16]}
     assert opt2.step_count == opt.step_count
-    assert opt2.lr == opt.lr and opt2.weight_decay == opt.weight_decay
     for name in params:
         np.testing.assert_array_equal(params2[name].data, params[name].data)
     for name in opt.m:
         np.testing.assert_array_equal(opt2.m[name], opt.m[name])
         np.testing.assert_array_equal(opt2.v[name], opt.v[name])
+
+
+_RUN = {"seed": 0, "lr": 1e-3, "weight_decay": 0.0}
 
 
 def _saved_state(tmp_path):
@@ -512,7 +531,7 @@ def _saved_state(tmp_path):
                             weight_decay=0.0, sampler="cdts",
                             out_dir=str(tmp_path / "run"), ckpt_every=2)
     path = str(tmp_path / "state.olck")
-    training.save_training_checkpoint(path, params, opt, 2, 0)
+    training.save_training_checkpoint(path, params, opt, 2, _RUN)
     return (path,) + read_checkpoint(path)
 
 
@@ -544,6 +563,6 @@ def test_load_rejects_damaged_checkpoint(tmp_path, damage):
     before = {n: p.data.copy() for n, p in params.items()}
     with pytest.raises(ConfigError, match=name):
         training.load_training_checkpoint(
-            path, params, AdamW(lr=0.0, weight_decay=0.0))
+            path, params, AdamW(lr=1e-3, weight_decay=0.0), _RUN)
     for n, p in params.items():
         np.testing.assert_array_equal(p.data, before[n])
