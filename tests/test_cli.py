@@ -265,6 +265,28 @@ def test_train_resume_below_checkpoint_step_exits_1(trained, tmp_path,
     assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
 
+def test_resumed_run_final_checkpoint_keeps_its_seed(trained, tmp_path):
+    # The seed-7 run resumed at step 3 continues with seed 7, and so must its
+    # final checkpoint: training on from it and from the step-6 checkpoint
+    # gives the same losses.
+    src_tmp, _ = trained
+    data = str(src_tmp / "data")
+    cfg = _write_config(tmp_path, data_dir=data)
+    assert cli.main(["train", "--config", cfg, "--resume",
+                     str(src_tmp / "run" / "ckpt_0000003.olck")]) == 0
+    final = tmp_path / "run" / "ckpt_final.olck"
+    assert read_checkpoint(final)[1]["seed"] == 7
+    traces = []
+    for name in ("ckpt_0000006.olck", "ckpt_final.olck"):
+        work = tmp_path / name
+        work.mkdir()
+        cont = _write_config(work, data_dir=data)
+        assert cli.main(["train", "--config", cont, "--steps", "8",
+                         "--resume", str(tmp_path / "run" / name)]) == 0
+        traces.append((work / "run" / "loss.csv").read_text())
+    assert traces[0] == traces[1] and traces[0].count("\n") == 3
+
+
 def test_every_checkpoint_of_a_run_can_be_sampled(trained, tmp_path):
     src_tmp, cfg = trained
     run = src_tmp / "run"
