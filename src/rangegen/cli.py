@@ -132,8 +132,14 @@ def _checked(key, kind, value):
               and all(_is_int(v) and low <= v <= high for v in value))
         what = ("a non-empty " if need else "a ") + "list of integers" + bound
     elif kind in (int, float):
-        ok = ((_is_int(value) or kind is float and isinstance(value, float))
-              and math.isfinite(value) and low <= value <= high)
+        ok = _is_int(value) or kind is float and isinstance(value, float)
+        if ok and kind is float:
+            try:  # an int beyond the float range overflows
+                value = float(value)
+            except OverflowError:
+                ok = False
+        ok = (ok and (kind is int or math.isfinite(value))
+              and low <= value <= high)
         what = ("an integer" if kind is int else "a finite number") + bound
     else:
         ok = isinstance(value, kind)
@@ -414,7 +420,7 @@ def _histograms_from_dir(path):
     hists = []
     for f in files:
         img = geometry.read_olri(f)
-        hist = metrics.bev_histogram(geometry.unproject(img))
+        hist = metrics.scan_histogram(img)
         if hist.empty:
             raise ConfigError(f"{f}: no points inside the occupancy extent")
         hists.append(hist)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import (RangeImage, SensorConfig, pixel_angles, read_olri,
+from .geometry import (RangeImage, SensorConfig, _unit_rays, read_olri,
                        write_olri)
 
 GROUND_Z_DEFAULT = -1.3  # meters; below this a return counts as ground
@@ -142,8 +142,9 @@ def reduce_beams(img):
 
 def detect_ground(img):
     """Boolean H x W mask of valid pixels with z below GROUND_Z_DEFAULT."""
-    _, elev = pixel_angles(img.config)
-    z = img.range.astype(np.float64) * np.sin(elev)[:, None]
+    cfg = img.config
+    sin_el = _unit_rays(cfg)[2].reshape(cfg.height, cfg.width)
+    z = img.range.astype(np.float64) * sin_el
     return img.valid & (z < GROUND_Z_DEFAULT)
 
 

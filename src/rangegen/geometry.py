@@ -11,6 +11,7 @@ Continuous (u, v) are discretized by floor and clamped to the grid;
 points exactly on the field-of-view edge are kept.
 """
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -145,23 +146,39 @@ def rasterize(pc, cfg):
     return RangeImage(rng, inten, valid, cfg)
 
 
+@functools.lru_cache(maxsize=8)
+def _unit_rays(cfg):
+    """Read-only (3, H*W) unit rays through the pixel centres, row-major.
+
+    Rows are cos(el) * cos(az), cos(el) * sin(az) and sin(el), in that
+    product order. One table per sensor serves every scan on its grid; a
+    few sensors (a full and a beam-reduced grid) are live at once, and
+    the cache bound keeps stray ones from piling up.
+    """
+    az, el = pixel_angles(cfg)
+    cos_el = np.cos(el)[:, None]
+    rays = np.empty((3, cfg.height, cfg.width))
+    rays[0] = cos_el * np.cos(az)
+    rays[1] = cos_el * np.sin(az)
+    rays[2] = np.sin(el)[:, None]
+    rays = rays.reshape(3, -1)
+    rays.flags.writeable = False
+    return rays
+
+
 def unproject(img):
     """One point per valid pixel, along the pixel-center ray at stored range.
 
-    Only the valid pixels are gathered. Each coordinate keeps the product
-    order (cos(el) * cos(az)) * r, so a point equals, bit for bit, the
-    pixel's unit ray scaled by r.
+    Only the valid pixels are gathered. Each coordinate is the pixel's
+    unit ray (`_unit_rays`) times r, so a point equals, bit for bit,
+    (cos(el) * cos(az)) * r and so on.
     """
-    cfg = img.config
-    az, el = pixel_angles(cfg)
+    rays = _unit_rays(img.config)
     idx = np.flatnonzero(img.valid)
-    v, u = np.divmod(idx, cfg.width)
-    cos_el = np.cos(el).take(v)
     r = img.range.reshape(-1).take(idx).astype(np.float64)
     pts = np.empty((idx.size, 3))
-    pts[:, 0] = cos_el * np.cos(az).take(u) * r
-    pts[:, 1] = cos_el * np.sin(az).take(u) * r
-    pts[:, 2] = np.sin(el).take(v) * r
+    for k in range(3):
+        np.multiply(rays[k].take(idx), r, out=pts[:, k])
     return PointCloud(pts, img.intensity.reshape(-1).take(idx)
                       .astype(np.float64))
 

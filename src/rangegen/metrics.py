@@ -1,7 +1,7 @@
 """Non-learned distribution metrics over bird's-eye-view occupancy.
 
 Scans are compared through 80x80 occupancy histograms (1 m bins over
-x, y in [-40, 40] m) built from unprojected points: Jensen-Shannon
+x, y in [-40, 40] m) of each scan's points: Jensen-Shannon
 divergence between set-level histograms (base 2, bounded by 1) and the
 biased maximum mean discrepancy estimator with a Gaussian kernel on
 flattened per-scan histograms. Values are comparable within this
@@ -13,6 +13,11 @@ directly: the edges are exact integers, so a coordinate's bin is
 floor(x) + 40. A point on the outer edge x == 40 (or y == 40) goes in the
 last bin, as histogram2d puts it; points outside the extent, NaN and
 +-inf are dropped.
+
+`scan_histogram` bins a range image without building its point cloud: a
+valid pixel's x and y are its unit ray (geometry's cached per-sensor
+table, the one `unproject` reads) times its range, and z and intensity
+are never formed. It gives the bits of `bev_histogram(unproject(img))`.
 """
 
 from dataclasses import dataclass
@@ -20,9 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MetricError
+from .geometry import _unit_rays
 
 BEV_EXTENT = 40.0  # meters, symmetric in x and y
-BEV_BINS = 80      # 1 m bins, which bev_histogram's floor binning needs
+BEV_BINS = 80      # 1 m bins, which _bin_index's floor binning needs
 
 
 @dataclass
@@ -37,7 +43,19 @@ class OccupancyHistogram:
 
 def bev_histogram(pc):
     """Normalized bird's-eye-view occupancy histogram of one point cloud."""
-    x, y = pc.points[:, 0], pc.points[:, 1]
+    return _bev_counts(pc.points[:, 0], pc.points[:, 1])
+
+
+def scan_histogram(img):
+    """`bev_histogram(unproject(img))`, bit for bit, from a range image."""
+    rays = _unit_rays(img.config)
+    idx = np.flatnonzero(img.valid)
+    r = img.range.reshape(-1).take(idx).astype(np.float64)
+    return _bev_counts(rays[0].take(idx) * r, rays[1].take(idx) * r)
+
+
+def _bev_counts(x, y):
+    """Normalized occupancy histogram of the points (x, y)."""
     inside = ((x >= -BEV_EXTENT) & (x <= BEV_EXTENT) &
               (y >= -BEV_EXTENT) & (y <= BEV_EXTENT))
     ix = _bin_index(x[inside])

@@ -98,6 +98,28 @@ def test_out_of_range_config_value_exits_1(tmp_path, capsys, monkeypatch,
     assert os.listdir(tmp_path) == ["bad.cfg"]
 
 
+_BEYOND_FLOAT = 10**400
+
+
+def test_int_beyond_float_range_for_a_float_key_exits_1(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="config key 'lr' must be a finite"):
+        cli.RunConfig(lr=_BEYOND_FLOAT)
+    cfg = _write_config(tmp_path, lr=_BEYOND_FLOAT)
+    assert cli.main(["train", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "config key 'lr' must be a finite number" in err
+
+
+def test_seed_beyond_float_range_is_accepted(trained, tmp_path):
+    src_tmp, _ = trained
+    cfg = _write_config(tmp_path, data_dir=str(src_tmp / "data"),
+                        seed=_BEYOND_FLOAT)
+    assert cli.main(["train", "--config", cfg, "--steps", "1"]) == 0
+    _, meta = read_checkpoint(tmp_path / "run" / "ckpt_final.olck")
+    assert meta["seed"] == _BEYOND_FLOAT
+
+
 def test_config_defaults_are_the_model_and_sensor_defaults():
     cfg = cli.RunConfig()
     assert cli.sensor_from_config(cfg) == geometry.DEFAULT_SENSOR
@@ -786,6 +808,7 @@ _BAD_META = {
     "image_height_float": ("sample", "image_height", 16.0),
     "fov_up_inf": ("sample", "fov_up_deg", float("inf")),
     "r_max_str": ("sample", "r_max", "far"),
+    "r_max_beyond_float": ("sample", "r_max", 10**400),
     "widths_str": ("sample", "widths", "8,x"),
 }
 

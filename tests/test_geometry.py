@@ -217,6 +217,19 @@ def test_unproject_single_last_pixel_matches_reference():
     _assert_unproject_matches_reference(img)
 
 
+def test_unit_rays_are_one_read_only_table_per_sensor():
+    rays = geo._unit_rays(CFG)
+    assert geo._unit_rays(geo.SensorConfig(16, 64, CFG.f_up, CFG.f_down,
+                                           CFG.r_max)) is rays
+    full = geo.RangeImage(np.ones((16, 64)), np.zeros((16, 64)),
+                          np.ones((16, 64), dtype=bool), CFG)
+    assert rays.shape == (3, 16 * 64)
+    assert np.array_equal(rays.T, unproject_reference(full)[0])
+    for target in (rays, rays[0], rays[2].reshape(16, 64)):
+        with pytest.raises(ValueError, match="read-only"):
+            target[0] = 1.0
+
+
 def test_rasterize_unproject_bitwise_roundtrip():
     rng = np.random.default_rng(4)
     pts = random_in_fov_points(rng, 20_000, CFG)

@@ -1,5 +1,6 @@
 """Occupancy-histogram JSD and MMD tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bev_histogram_reference
-from rangegen import metrics
+from conftest import bev_histogram_reference, unproject_reference
+from rangegen import geometry, metrics
 from rangegen.errors import MetricError
 from rangegen.geometry import PointCloud
+from rangegen.toy import TOY_SENSOR
 
 
 def _pc(points):
@@ -115,6 +117,99 @@ def test_uniform_disk_bin_counts_poisson():
     # allow a 4-sigma envelope per bin with a small multiple-testing slack
     assert (dev > 5.0).mean() < 1e-3
     assert dev.mean() < 1.0
+
+
+# ---------------------------------------------------------------------------
+# Histograms straight from the range image
+# ---------------------------------------------------------------------------
+
+def _assert_scan_histogram_matches(img):
+    """scan_histogram equals the point-cloud path and the reference path."""
+    h = metrics.scan_histogram(img)
+    via_cloud = metrics.bev_histogram(geometry.unproject(img))
+    counts, empty = bev_histogram_reference(unproject_reference(img)[0])
+    for other_counts, other_empty in ((via_cloud.counts, via_cloud.empty),
+                                      (counts, empty)):
+        assert h.empty == other_empty
+        assert h.counts.dtype == other_counts.dtype == np.float64
+        assert h.counts.tobytes() == other_counts.tobytes()
+    return h
+
+
+def _scan(cfg, rng, p_valid=0.8, r_low=0.5):
+    shape = (cfg.height, cfg.width)
+    valid = rng.random(shape) < p_valid
+    rng_img = np.where(valid, rng.uniform(r_low, cfg.r_max, shape), 0.0)
+    return geometry.RangeImage(rng_img, rng.random(shape), valid, cfg)
+
+
+_SECOND_FOV = dataclasses.replace(geometry.DEFAULT_SENSOR,
+                                  f_up=math.radians(15.0),
+                                  f_down=math.radians(-15.0), r_max=120.0)
+_SENSORS = [TOY_SENSOR,
+            dataclasses.replace(geometry.DEFAULT_SENSOR, height=32),
+            geometry.DEFAULT_SENSOR, _SECOND_FOV]
+
+
+def test_scan_histogram_of_all_invalid_scan_is_empty():
+    img = _scan(TOY_SENSOR, np.random.default_rng(0), p_valid=0.0)
+    h = _assert_scan_histogram_matches(img)
+    assert h.empty and not h.counts.any()
+
+
+def test_scan_histogram_with_every_point_outside_extent_is_empty():
+    # At r_max = 80 m every ray of this sensor has |x| or |y| above 40 m.
+    img = _scan(geometry.DEFAULT_SENSOR, np.random.default_rng(1),
+                p_valid=1.0, r_low=79.0)
+    assert _assert_scan_histogram_matches(img).empty
+
+
+def _edge_sensor(axis, target):
+    """A 2x64 sensor and a column whose row-0 unit ray has component
+    `axis` exactly `target`: f_down is stepped one ulp at a time, which
+    moves that row's elevation finer than the ray's rounding."""
+    az, _ = geometry.pixel_angles(
+        geometry.SensorConfig(2, 64, 0.1, -0.1, 80.0))
+    trig = np.cos(az) if axis == 0 else np.sin(az)
+    col = int(np.argmin(np.abs(trig - 1.8 * target)))
+    f_up = math.acos(target / trig[col]) + 0.05
+    f_down, seen = f_up - 0.2, set()
+    for _ in range(1000):
+        cfg = geometry.SensorConfig(2, 64, f_up, float(f_down), 80.0)
+        ray = np.cos(geometry.pixel_angles(cfg)[1][0]) * trig[col]
+        if ray == target:
+            return cfg, col
+        if f_down in seen:  # stepped over the target: move the whole FOV
+            f_up, seen = float(np.nextafter(f_up, np.inf)), set()
+        seen.add(f_down)
+        f_down = np.nextafter(
+            f_down, np.inf if abs(ray) > abs(target) else -np.inf)
+    raise AssertionError("no sensor with a ray on the edge")
+
+
+@pytest.mark.parametrize("axis, edge", [(0, 40.0), (1, -40.0)])
+def test_scan_histogram_point_exactly_on_extent_edge(axis, edge):
+    cfg, col = _edge_sensor(axis, edge / 80.0)
+    img = _scan(cfg, np.random.default_rng(2), p_valid=0.5, r_low=1.0)
+    img.valid[0, col], img.range[0, col] = True, 80.0
+    assert edge in geometry.unproject(img).points[:, axis]
+    assert not _assert_scan_histogram_matches(img).empty
+
+
+def test_scan_histogram_with_odd_rows_invalid():
+    img = _scan(geometry.DEFAULT_SENSOR, np.random.default_rng(3))
+    img.valid[1::2] = False
+    img.range[1::2] = 0.0
+    assert not _assert_scan_histogram_matches(img).empty
+
+
+def test_scan_histogram_per_sensor_in_one_process():
+    # Sensors alternate, so a ray table handed to the wrong sensor (the
+    # second FOV shares the 64x1024 grid) would show as a mismatch.
+    rng = np.random.default_rng(4)
+    for _ in range(2):
+        for cfg in _SENSORS:
+            _assert_scan_histogram_matches(_scan(cfg, rng))
 
 
 # ---------------------------------------------------------------------------
