@@ -289,13 +289,11 @@ def tanh(a):
 def silu(a):
     a = _wrap(a)
     na, x = a._node, a.data
-    data, = backend._tiled(lambda x, out: (backend._silu_np(x, out[0]),), (x,),
-                           lambda: [(x.shape, x.dtype)])
+    data, = backend._tiled(lambda x, out: (backend._silu_np(x, out[0]),), (x,))
 
     def bwd(g):
         dx, = backend._tiled(
-            lambda x, g, out: (backend._silu_grad_np(g, x, out[0]),), (x, g),
-            lambda: [(x.shape, np.result_type(g, x))])
+            lambda x, g, out: (backend._silu_grad_np(g, x, out[0]),), (x, g))
         _accum(na, dx)
 
     return _make(data, (na,), bwd)
@@ -454,24 +452,14 @@ def layer_norm(x, gain, bias, axis=-1, silu=False):
     g = gain.data.reshape(feat)
     b = bias.data.reshape(feat)
     data, mean, inv = backend._tiled(
-        lambda x, out: backend._norm_np(x, g, b, axis, silu, out), (xd,),
-        lambda: [(xd.shape, np.result_type(xd, g, b))]
-        + [(xd.shape[:axis] + (1,) + xd.shape[axis + 1:], xd.dtype)] * 2, axis)
+        lambda x, out: backend._norm_np(x, g, b, axis, silu, out), (xd,), axis)
     others = tuple(i for i in range(nd) if i != axis)
-
-    def specs(gy):
-        gdtype = np.result_type(gy, xd, g, b) if silu else gy.dtype
-        out = [(xd.shape, np.result_type(gdtype, g, xd)),
-               (xd.shape, np.result_type(gdtype, xd))]
-        if silu:
-            out.append((xd.shape, gdtype))
-        return out
 
     def bwd(gy):
         dx, p, *fused = backend._tiled(
             lambda x, gy, mean, inv, out: backend._norm_grad_np(
                 gy, x, mean, inv, g, b, axis, silu, out),
-            (xd, gy, mean, inv), lambda: specs(gy), axis)
+            (xd, gy, mean, inv), axis)
         dy = fused[0] if silu else gy
         # The gain and bias sums cross tiles: whole, in the plain order.
         if ng is not None:

@@ -238,7 +238,7 @@ def _gemm(a, b, out=None):
     return out
 
 
-def _tiled(kernel, arrays, specs, skip=None):
+def _tiled(kernel, arrays, skip=None):
     """The outputs of kernel(*arrays, out), an elementwise or per-position
     function of arrays shaped as the first, x (or as x with size 1 along
     `skip`), that returns one array per entry of out.
@@ -247,8 +247,9 @@ def _tiled(kernel, arrays, specs, skip=None):
     each output as the plain expression does, when x is below _TILE_BYTES,
     is not C-contiguous, or has no axis but the last and `skip`. Otherwise
     tiles of the last axis but one other than `skip` write into C-ordered
-    outputs of specs(), (shape, dtype) pairs: the layout the plain
-    expression gives when x is C-ordered, whatever the layout of the others.
+    outputs (the layout the plain expression gives when x is C-ordered,
+    whatever the layout of the others), each of the dtype and shape that
+    the kernel gives on an empty run of that axis, with its extent put back.
     """
     x = arrays[0]
     axis = None
@@ -256,7 +257,10 @@ def _tiled(kernel, arrays, specs, skip=None):
         axis = max((k for k in range(x.ndim - 1) if k != skip), default=None)
     if axis is None:
         return kernel(*arrays, (None, None, None))
-    outs = tuple(np.empty(shape, dtype) for shape, dtype in specs())
+    run = (slice(None),) * axis + (slice(0),)
+    outs = tuple(np.empty(o.shape[:axis] + x.shape[axis:axis + 1]
+                          + o.shape[axis + 1:], o.dtype)
+                 for o in kernel(*(a[run] for a in arrays), (None,) * 3))
     k = len(arrays)
     _each_tile(lambda *parts: kernel(*parts[:k], parts[k:]), arrays + outs,
                axis, x.nbytes)

@@ -1,10 +1,12 @@
-"""Binary checkpoint format: named float buffers plus a metadata object.
+"""Binary checkpoint format, and `_replacing`, through which every file
+the commands write whole is written, so a crash never leaves a torn one.
 
 Layout (little-endian): magic ``OLCK``, version u16, metadata length u32 +
 UTF-8 JSON object (sorted keys), buffer count u32, then per buffer: name
 length u16 + UTF-8 name, rank u8, extents u32 each, float32 payload.
 """
 
+import contextlib
 import json
 import math
 import os
@@ -16,33 +18,42 @@ from .errors import ConfigError
 
 MAGIC = b"OLCK"
 VERSION = 2
+_TMP_SUFFIX = ".tmp"  # `_replacing` writes path + _TMP_SUFFIX, then renames
 
 
-def write_checkpoint(path, buffers, meta):
-    """Write name -> ndarray buffers (cast to float32) and the JSON object
-    `meta` to a temporary file, then rename it onto `path` (atomic)."""
-    meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    tmp = os.fspath(path) + ".tmp"
+@contextlib.contextmanager
+def _replacing(path, mode="wb", **open_kwargs):
+    """open(`path` + _TMP_SUFFIX, mode, **open_kwargs) for the block;
+    renamed onto `path` when the block ends, removed if it raises."""
+    tmp = os.fspath(path) + _TMP_SUFFIX
     try:
-        with open(tmp, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<HI", VERSION, len(meta_bytes)))
-            f.write(meta_bytes)
-            f.write(struct.pack("<I", len(buffers)))
-            for name in sorted(buffers):
-                arr = np.ascontiguousarray(buffers[name], dtype="<f4")
-                nb = name.encode("utf-8")
-                f.write(struct.pack("<H", len(nb)))
-                f.write(nb)
-                f.write(struct.pack("<B", arr.ndim))
-                for ext in arr.shape:
-                    f.write(struct.pack("<I", ext))
-                f.write(arr.tobytes())
+        with open(tmp, mode, **open_kwargs) as f:
+            yield f
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def write_checkpoint(path, buffers, meta):
+    """Write name -> ndarray buffers (cast to float32) and the JSON object
+    `meta` to `path`, through `_replacing`."""
+    meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
+    with _replacing(path) as f:
+        f.write(MAGIC)
+        f.write(struct.pack("<HI", VERSION, len(meta_bytes)))
+        f.write(meta_bytes)
+        f.write(struct.pack("<I", len(buffers)))
+        for name in sorted(buffers):
+            arr = np.ascontiguousarray(buffers[name], dtype="<f4")
+            nb = name.encode("utf-8")
+            f.write(struct.pack("<H", len(nb)))
+            f.write(nb)
+            f.write(struct.pack("<B", arr.ndim))
+            for ext in arr.shape:
+                f.write(struct.pack("<I", ext))
+            f.write(arr.tobytes())
 
 
 def read_checkpoint(path):

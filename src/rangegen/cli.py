@@ -20,7 +20,7 @@ import traceback
 import numpy as np
 
 from . import conditioning, diffusion, forge, geometry, metrics, toy, training
-from .checkpoint import read_checkpoint
+from .checkpoint import _TMP_SUFFIX, _replacing, read_checkpoint
 from .denoiser import DenoiserConfig, init_denoiser
 from .errors import ConfigError, MetricError, TrainingError
 from .training import _load_params, save_training_checkpoint
@@ -291,7 +291,7 @@ def cmd_build_data(args):
         print(f"  skipped [{dom}] {path}: {reason}")
     if summary["removed"]:
         print(f"  removed {summary['removed']} stale scans")
-    with open(os.path.join(cfg.data_dir, "summary.json"), "w") as f:
+    with _replacing(os.path.join(cfg.data_dir, "summary.json"), "w") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
     return 0
 
@@ -346,7 +346,7 @@ def cmd_train(args):
 def _write_ppm(path, arr):
     """Grayscale render of the normalized range channel for eyeballing."""
     gray = np.clip((arr[0] + 1.0) * 127.5, 0, 255).astype(np.uint8)
-    with open(path, "wb") as f:
+    with _replacing(path) as f:
         f.write(b"P5\n%d %d\n255\n" % (gray.shape[1], gray.shape[0]))
         f.write(gray.tobytes())
 
@@ -364,6 +364,12 @@ def cmd_sample(args):
     if args.domain not in by_id:
         raise ConfigError(f"unknown domain {args.domain!r}; known: "
                           + ", ".join(sorted(by_id)))
+    # The longest name written, the last scan's temporary file, must fit
+    # the 255 bytes that common file systems allow.
+    name = f"{args.domain}_s{cfg.seed}_{args.count - 1:04d}.olri{_TMP_SUFFIX}"
+    if len(name.encode("utf-8")) > 255:
+        raise ConfigError(f"config key 'seed' ({len(str(cfg.seed))} digits) "
+                          "makes sample file names over 255 bytes")
     # The model, its sensor and its schedule come from the checkpoint; the
     # domains, the step count and the seed from the config.
     buffers, meta = read_checkpoint(args.checkpoint)
@@ -435,9 +441,9 @@ def cmd_eval(args):
     report = metrics.metric_report(gen, ref)
     sys.stdout.write(report["text"])
     out_dir = args.out or args.generated
-    with open(os.path.join(out_dir, "metrics.txt"), "w") as f:
+    with _replacing(os.path.join(out_dir, "metrics.txt"), "w") as f:
         f.write(report["text"])
-    with open(os.path.join(out_dir, "metrics.csv"), "w") as f:
+    with _replacing(os.path.join(out_dir, "metrics.csv"), "w") as f:
         f.write(report["csv"])
     return 0
 

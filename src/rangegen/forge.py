@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import _replacing
 from .errors import ConfigError
 from .geometry import (RangeImage, SensorConfig, _unit_rays, read_olri,
                        write_olri)
@@ -116,7 +117,7 @@ class DatasetIndex:
         return [r for r in self.records if r[2] == name]
 
     def save(self, path):
-        with open(path, "w", newline="\n") as f:
+        with _replacing(path, "w", newline="\n") as f:
             for rel, dom, split in self.records:
                 f.write(f"{rel}\t{dom}\t{split}\n")
 

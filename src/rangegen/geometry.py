@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import _replacing
 from .errors import ConfigError
 
 OLRI_MAGIC = b"OLRI"
@@ -223,7 +224,7 @@ def denormalize(arr, cfg):
 
 def write_olri(path, img):
     cfg = img.config
-    with open(path, "wb") as f:
+    with _replacing(path) as f:
         f.write(OLRI_MAGIC)
         f.write(struct.pack("<HIII", OLRI_VERSION, cfg.height, cfg.width, 2))
         f.write(struct.pack("<fff", cfg.f_up, cfg.f_down, cfg.r_max))
@@ -266,7 +267,7 @@ def read_olri(path):
 
 def write_xyz(path, pc):
     """One 'x y z intensity' line per point, LF endings."""
-    with open(path, "w", newline="\n") as f:
+    with _replacing(path, "w", newline="\n") as f:
         for p, i in zip(pc.points, pc.intensity):
             f.write(f"{p[0]:.9g} {p[1]:.9g} {p[2]:.9g} {i:.9g}\n")
 

@@ -5,7 +5,8 @@ pooled training set (the default), and the batch-homogeneous baseline
 where every mini-batch holds a single domain. Both are pure functions
 of (index, batch size, seed, step), which also makes resumption
 bit-identical: all randomness is keyed by (seed, step), and a run resumes
-only under the values its checkpoint records.
+only under the values its checkpoint records. Every run first trims the
+loss trace to the rows below its start step, then appends one per step.
 """
 
 import itertools
@@ -15,7 +16,7 @@ import os
 import numpy as np
 
 from . import conditioning, diffusion
-from .checkpoint import read_checkpoint, write_checkpoint
+from .checkpoint import _replacing, read_checkpoint, write_checkpoint
 from .errors import ConfigError, TrainingError
 from .forge import sample_prompt
 from .geometry import normalize, read_olri
@@ -138,30 +139,21 @@ def load_training_checkpoint(path, params, opt, run):
     return meta
 
 
-_TRACE_HEADER = "step,loss\n"
-
-
 def _trim_trace(path, step):
     """Rewrite the loss trace at `path` to its header and its complete rows
-    below `step`, so that a run resumed at `step` appends each later step
-    once. The rows go to a temporary file that is renamed onto `path`, so
-    a crash leaves either the old trace or the new one."""
-    with open(path, newline="") as f:
-        rows = f.readlines()
-    kept = [_TRACE_HEADER]
-    for row in rows[1:]:
-        head = row.split(",", 1)[0]
-        if row.endswith("\n") and head.isdigit() and int(head) < step:
-            kept.append(row)
-    tmp = path + ".tmp"
+    below `step`, none for a fresh run (step 0) or a missing file, so that
+    the run appends each later step once."""
     try:
-        with open(tmp, "w", newline="\n") as f:
-            f.writelines(kept)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+        with open(path, "rb") as f:
+            rows = f.read().splitlines(keepends=True)
+    except FileNotFoundError:
+        rows = []
+    with _replacing(path) as f:
+        f.write(b"step,loss\n")
+        for row in rows[1:]:
+            head = row.split(b",", 1)[0]
+            if row.endswith(b"\n") and head.isdigit() and int(head) < step:
+                f.write(row)
 
 
 def train(params, config, schedule, data_dir, index, specs, steps, seed,
@@ -199,13 +191,8 @@ def train(params, config, schedule, data_dir, index, specs, steps, seed,
     trace = []
     os.makedirs(out_dir, exist_ok=True)
     trace_path = os.path.join(out_dir, "loss.csv")
-    if resume_from is not None and os.path.exists(trace_path):
-        _trim_trace(trace_path, start_step)
-        trace_f = open(trace_path, "a", newline="\n")
-    else:
-        trace_f = open(trace_path, "w", newline="\n")
-        trace_f.write(_TRACE_HEADER)
-    with trace_f:
+    _trim_trace(trace_path, start_step)
+    with open(trace_path, "a", newline="\n") as trace_f:
         for step in range(start_step, steps):
             plan = next(batches)
             x0, zc, dom = assemble_batch(plan, cache, dom_to_idx)

@@ -626,6 +626,22 @@ def test_layer_norm_tiles_along_the_sequence_axis(monkeypatch):
     _assert_same_arrays(tiled, whole)
 
 
+@pytest.mark.parametrize("silu", [False, True])
+@pytest.mark.parametrize("g_dtype", [np.float32, np.float64])
+def test_layer_norm_tiles_match_whole_with_a_wider_bias(monkeypatch, silu,
+                                                        g_dtype):
+    # float32 x and gain with a float64 bias: `y += b` keeps float32 inline,
+    # and the tiles' outputs must take the same dtypes.
+    arrays, g = _norm_case(15, np.float32, 1, "C")
+    arrays[2] = arrays[2].astype(np.float64)
+    whole, tiled = _whole_and_tiled(
+        monkeypatch,
+        lambda: _node_run(ad.layer_norm, arrays, g.astype(g_dtype),
+                          axis=1, silu=silu),
+        arrays[0].nbytes)
+    _assert_same_arrays(tiled, whole)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("axis", [1, -1])
 @pytest.mark.parametrize("g_layout", _LAYOUTS)

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import dataclasses
+import errno
 import glob
 import json
 import os
@@ -258,6 +259,26 @@ def test_train_resume_continues_trace(trained, tmp_path):
     for name in (*written, "loss.csv"):
         assert (run / name).read_bytes() == (src_tmp / "run" / name).read_bytes()
     assert not (run / "loss.csv.tmp").exists()
+
+
+def test_fresh_train_replaces_another_runs_trace(trained, tmp_path):
+    # The other run's trace: a longer run's rows, a torn row and bytes that
+    # are not UTF-8. None of it survives a fresh run.
+    src_tmp, _ = trained
+    old = (src_tmp / "run" / "loss.csv").read_bytes() + b"\xff\xfe,\n6,1.5e"
+    traces = []
+    for name, stale in (("empty", None), ("stale", old)):
+        run = tmp_path / name
+        run.mkdir()
+        if stale:
+            (run / "loss.csv").write_bytes(stale)
+        cfg = _write_config(tmp_path, data_dir=str(src_tmp / "data"),
+                            out_dir=str(run), seed=8)
+        assert cli.main(["train", "--config", cfg, "--steps", "2"]) == 0
+        traces.append((run / "loss.csv").read_bytes())
+    assert traces[1] == traces[0]
+    assert traces[0].startswith(b"step,loss\n0,")
+    assert traces[0].count(b"\n") == 3
 
 
 def test_train_resume_other_widths_exits_1(trained, tmp_path, capsys):
@@ -601,6 +622,31 @@ def test_sample_writes_deterministic_files(trained):
         with open(os.path.join(out_a, name), "rb") as fa, \
                 open(os.path.join(out_b, name), "rb") as fb:
             assert fa.read() == fb.read(), name
+
+
+def test_sample_seed_too_long_for_a_file_name_exits_1(trained, tmp_path,
+                                                      capsys):
+    src_tmp, cfg = trained
+    ckpt = str(src_tmp / "run" / "ckpt_final.olck")
+    out = tmp_path / "samples"
+    assert cli.main(["sample", "--config", cfg, "--checkpoint", ckpt,
+                     "--domain", "ToyNear", "--steps", "4", "--seed",
+                     str(_BEYOND_FLOAT), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and "'seed'" in captured.err
+    assert "scan 1/" not in captured.out and not out.exists()
+
+
+def test_sample_file_name_at_the_limit_is_written(trained, tmp_path):
+    # ToyNear_s<seed>_0000.olri.tmp is 255 bytes with a 232-digit seed.
+    src_tmp, cfg = trained
+    ckpt = str(src_tmp / "run" / "ckpt_final.olck")
+    argv = ["sample", "--config", cfg, "--checkpoint", ckpt, "--domain",
+            "ToyNear", "--steps", "2", "--out", str(tmp_path), "--seed"]
+    assert cli.main(argv + [str(10**231)]) == 0
+    assert [len(p.name) for p in tmp_path.iterdir()] == [251]
+    assert cli.main(argv + [str(10**232)]) == 1
 
 
 def test_sample_unknown_domain_lists_known(trained, capsys):
@@ -979,6 +1025,89 @@ def test_eval_reference_with_nan_range_exits_1(trained, tmp_path, capsys):
                      "--reference", str(tmp_path / "ref")]) == 1
     err = capsys.readouterr().err
     assert "nan.olri: valid pixel" in err and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# File writes
+# ---------------------------------------------------------------------------
+
+class _DiskFull:
+    """A file open for writing that stores half of its first write, then
+    fails as a full disk does."""
+
+    def __init__(self, f):
+        self._f = f
+
+    def write(self, data):
+        self._f.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+
+def _run(*argv):
+    """One command, with its errors raised rather than turned into exit 1."""
+    args = cli.build_parser().parse_args(argv)
+    assert args.fn(args) == 0
+
+
+def _scan(data):
+    return geometry.read_olri(sorted((data / "ToyNear").glob("*.olri"))[0])
+
+
+# Every file a command writes whole: its name, and how to write it into a
+# directory given the shared run's directory.
+_WRITERS = {
+    "ckpt.olck": lambda src, d: write_checkpoint(
+        d / "ckpt.olck", {"w": np.ones(4, np.float32)}, {"step": 1}),
+    "scan.olri": lambda src, d: geometry.write_olri(
+        d / "scan.olri", _scan(src / "data")),
+    "scan.xyz": lambda src, d: geometry.write_xyz(
+        d / "scan.xyz", geometry.unproject(_scan(src / "data"))),
+    "scan.ppm": lambda src, d: cli._write_ppm(
+        d / "scan.ppm", geometry.normalize(_scan(src / "data"))),
+    "index.tsv": lambda src, d: forge.DatasetIndex.load(
+        src / "data" / "index.tsv").save(d / "index.tsv"),
+    "summary.json": lambda src, d: _run(
+        "build-data", "--config",
+        _write_config(d.parent, data_dir=str(d), toy_scans=2)),
+    "loss.csv": lambda src, d: _run(
+        "train", "--config",
+        _write_config(d.parent, data_dir=str(src / "data"), out_dir=str(d)),
+        "--steps", "1"),
+    **{name: lambda src, d: _run(
+        "eval", "--generated", str(src / "data" / "ToyNear"),
+        "--reference", str(src / "data" / "ToyFar"), "--out", str(d))
+       for name in ("metrics.txt", "metrics.csv")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WRITERS))
+def test_disk_full_write_keeps_previous_file(trained, tmp_path, monkeypatch,
+                                             name):
+    src_tmp, _ = trained
+    out = tmp_path / "out"
+    out.mkdir()
+    _WRITERS[name](src_tmp, out)
+    before = (out / name).read_bytes()
+    real_open = open
+
+    def disk_full_open(file, mode="r", *args, **kwargs):
+        f = real_open(file, mode, *args, **kwargs)
+        if "w" in mode and os.path.basename(file).startswith(name):
+            return _DiskFull(f)
+        return f
+
+    monkeypatch.setattr("builtins.open", disk_full_open)
+    with pytest.raises(OSError, match="No space left"):
+        _WRITERS[name](src_tmp, out)
+    monkeypatch.undo()
+    assert (out / name).read_bytes() == before
+    assert not [p for p in out.rglob("*") if p.name.endswith(".tmp")]
 
 
 # ---------------------------------------------------------------------------
