@@ -1,5 +1,6 @@
 """Binary checkpoint format, and `_replacing`, through which every file
 the commands write whole is written, so a crash never leaves a torn one.
+It writes `.<16 hex digits>.tmp` in the file's directory, then renames it.
 
 Layout (little-endian): magic ``OLCK``, version u16, metadata length u32 +
 UTF-8 JSON object (sorted keys), buffer count u32, then per buffer: name
@@ -7,6 +8,7 @@ length u16 + UTF-8 name, rank u8, extents u32 each, float32 payload.
 """
 
 import contextlib
+import hashlib
 import json
 import math
 import os
@@ -18,14 +20,23 @@ from .errors import ConfigError
 
 MAGIC = b"OLCK"
 VERSION = 2
-_TMP_SUFFIX = ".tmp"  # `_replacing` writes path + _TMP_SUFFIX, then renames
+
+
+def _temp_path(path):
+    """Where `_replacing` writes `path` first: `.<16 hex digits>.tmp` in the
+    same directory, the digits a hash of the file name. The name is 21 bytes
+    whatever the final one's length, so every name that the file system
+    takes can be written, one of 255 bytes included."""
+    head, name = os.path.split(os.fspath(path))
+    digest = hashlib.blake2b(os.fsencode(name), digest_size=8).hexdigest()
+    return os.path.join(head, f".{digest}.tmp")
 
 
 @contextlib.contextmanager
 def _replacing(path, mode="wb", **open_kwargs):
-    """open(`path` + _TMP_SUFFIX, mode, **open_kwargs) for the block;
-    renamed onto `path` when the block ends, removed if it raises."""
-    tmp = os.fspath(path) + _TMP_SUFFIX
+    """open(`_temp_path(path)`, mode, **open_kwargs) for the block; renamed
+    onto `path` when the block ends, removed if it raises."""
+    tmp = _temp_path(path)
     try:
         with open(tmp, mode, **open_kwargs) as f:
             yield f

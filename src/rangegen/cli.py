@@ -20,7 +20,7 @@ import traceback
 import numpy as np
 
 from . import conditioning, diffusion, forge, geometry, metrics, toy, training
-from .checkpoint import _TMP_SUFFIX, _replacing, read_checkpoint
+from .checkpoint import _replacing, read_checkpoint
 from .denoiser import DenoiserConfig, init_denoiser
 from .errors import ConfigError, MetricError, TrainingError
 from .training import _load_params, save_training_checkpoint
@@ -364,9 +364,9 @@ def cmd_sample(args):
     if args.domain not in by_id:
         raise ConfigError(f"unknown domain {args.domain!r}; known: "
                           + ", ".join(sorted(by_id)))
-    # The longest name written, the last scan's temporary file, must fit
-    # the 255 bytes that common file systems allow.
-    name = f"{args.domain}_s{cfg.seed}_{args.count - 1:04d}.olri{_TMP_SUFFIX}"
+    # The longest name written, the last scan's, must fit the 255 bytes
+    # that common file systems allow.
+    name = f"{args.domain}_s{cfg.seed}_{args.count - 1:04d}.olri"
     if len(name.encode("utf-8")) > 255:
         raise ConfigError(f"config key 'seed' ({len(str(cfg.seed))} digits) "
                           "makes sample file names over 255 bytes")

@@ -228,9 +228,9 @@ def write_olri(path, img):
         f.write(OLRI_MAGIC)
         f.write(struct.pack("<HIII", OLRI_VERSION, cfg.height, cfg.width, 2))
         f.write(struct.pack("<fff", cfg.f_up, cfg.f_down, cfg.r_max))
-        f.write(np.ascontiguousarray(img.range, dtype="<f4").tobytes())
-        f.write(np.ascontiguousarray(img.intensity, dtype="<f4").tobytes())
-        f.write(img.valid.astype(np.uint8).tobytes())
+        f.write(np.ascontiguousarray(img.range, dtype="<f4"))
+        f.write(np.ascontiguousarray(img.intensity, dtype="<f4"))
+        f.write(img.valid.astype(np.uint8))  # each flag as one 0 or 1 byte
 
 
 def read_olri(path):

@@ -1,10 +1,14 @@
 """Shared test helpers: finite-difference oracles and error measures."""
 
+import os
+import struct
+
 import numpy as np
 
 from rangegen import autodiff as ad
-from rangegen import backend, cli, geometry, metrics, toy
+from rangegen import backend, cli, forge, geometry, metrics, toy
 from rangegen import denoiser as dn
+from rangegen.errors import ConfigError
 
 # The denoiser a `toy = true` run trains.
 TOY_DENOISER_CONFIG = cli.denoiser_config_from(
@@ -290,3 +294,105 @@ def bits(a):
     """The raw bits of a float array, so that -0.0 and +0.0 differ."""
     a = np.ascontiguousarray(a)
     return a.view(f"i{a.itemsize}")
+
+
+# ---------------------------------------------------------------------------
+# Reference corpus build: domain by domain, one read of each base scan per
+# domain, corruption by masked writes and OLRI planes written from copies.
+# The shipped build reads each base scan once and corrupts with bitwise
+# selects; it must write the same bytes.
+# ---------------------------------------------------------------------------
+
+def corrupt_reference(img, spec, severity, rng):
+    """Drop-in for `forge.corrupt` by masked writes."""
+    level = spec.severity_levels[severity]
+    slope = float(level.get("dropout_slope", 0.0))
+    atten = float(level.get("intensity_attenuation", 1.0))
+    scatter_count = int(level.get("scatter_count", 0))
+    scatter_range = float(level.get("scatter_range", 10.0))
+
+    cfg = img.config
+    rng_img = img.range.copy()
+    inten = img.intensity.copy()
+    valid = img.valid.copy()
+
+    target = forge.detect_ground(img) if spec.kind == "wet_ground" else valid
+    p_drop = np.minimum(1.0, slope * rng_img.astype(np.float64))
+    draw = rng.random(rng_img.shape)
+    drop = target & (draw < p_drop)
+    valid &= ~drop
+    rng_img[drop] = 0.0
+    inten[drop] = 0.0
+    survivors = target & valid
+    np.copyto(inten, np.clip(inten * atten, 0.0, 1.0), where=survivors)
+
+    if spec.kind == "snow" and scatter_count > 0:
+        vs = rng.integers(0, cfg.height, scatter_count)
+        us = rng.integers(0, cfg.width, scatter_count)
+        rr = rng.uniform(0.5, scatter_range, scatter_count)
+        ii = rng.uniform(0.0, 1.0, scatter_count) * atten
+        rng_img[vs, us] = rr.astype(np.float32)
+        inten[vs, us] = ii.astype(np.float32)
+        valid[vs, us] = True
+
+    return geometry.RangeImage(rng_img, inten, valid, cfg)
+
+
+def write_olri_reference(path, img):
+    cfg = img.config
+    with open(path, "wb") as f:
+        f.write(geometry.OLRI_MAGIC)
+        f.write(struct.pack("<HIII", geometry.OLRI_VERSION, cfg.height,
+                            cfg.width, 2))
+        f.write(struct.pack("<fff", cfg.f_up, cfg.f_down, cfg.r_max))
+        f.write(np.ascontiguousarray(img.range, dtype="<f4").tobytes())
+        f.write(np.ascontiguousarray(img.intensity, dtype="<f4").tobytes())
+        f.write(img.valid.astype(np.uint8).tobytes())
+
+
+def build_dataset_reference(base, specs, out_dir, seed):
+    """Drop-in for `forge.build_dataset`, domain by domain."""
+    os.makedirs(out_dir, exist_ok=True)
+    index = forge.DatasetIndex()
+    summary = {"skipped": []}
+    for spec in specs:
+        if spec.base_key not in base:
+            raise ConfigError(
+                f"domain {spec.id}: no base corpus for key {spec.base_key!r}"
+            )
+        dom_dir = os.path.join(out_dir, spec.id)
+        os.makedirs(dom_dir, exist_ok=True)
+        for path, split in base[spec.base_key]:
+            try:
+                img = geometry.read_olri(path)
+            except (OSError, ConfigError) as exc:
+                summary["skipped"].append((spec.id, path, str(exc)))
+                continue
+            reason = forge._sensor_mismatch(img.config, spec.sensor)
+            if reason:
+                summary["skipped"].append((spec.id, path, reason))
+                continue
+            rng = forge.scan_rng(seed, spec.id, os.path.basename(path))
+            if spec.corruption is not None:
+                severity = int(rng.integers(len(spec.corruption.severity_levels)))
+                img = corrupt_reference(img, spec.corruption, severity, rng)
+            elif spec.beam_reduce:
+                img = forge.reduce_beams(img)
+            stem = os.path.splitext(os.path.basename(path))[0]
+            rel = os.path.join(spec.id, f"{stem}.olri")
+            write_olri_reference(os.path.join(out_dir, rel), img)
+            index.records.append((rel, spec.id, split))
+    summary["counts"] = {spec.id: 0 for spec in specs} | index.counts()
+    index.save(os.path.join(out_dir, "index.tsv"))
+    keep = {os.path.realpath(p) for entries in base.values() for p, _ in entries}
+    keep |= {os.path.realpath(os.path.join(out_dir, rel))
+             for rel, _, _ in index.records}
+    summary["removed"] = 0
+    for spec in specs:
+        dom_dir = os.path.join(out_dir, spec.id)
+        for name in os.listdir(dom_dir):
+            path = os.path.join(dom_dir, name)
+            if name.endswith(".olri") and os.path.realpath(path) not in keep:
+                os.remove(path)
+                summary["removed"] += 1
+    return index, summary

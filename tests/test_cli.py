@@ -16,7 +16,7 @@ import pytest
 
 from conftest import bev_histogram_reference, unproject_reference
 from rangegen import cli, forge, geometry, metrics, toy
-from rangegen.checkpoint import read_checkpoint, write_checkpoint
+from rangegen.checkpoint import _temp_path, read_checkpoint, write_checkpoint
 from rangegen.denoiser import DenoiserConfig
 from rangegen.errors import ConfigError
 
@@ -213,6 +213,31 @@ def test_build_data_rebuild_with_fewer_scans_removes_stale_ones(tmp_path,
     assert summary["removed"] == 4
 
 
+def test_build_data_writes_a_base_scan_with_a_255_byte_name(tmp_path):
+    # The longest name that common file systems take. Each domain writes
+    # the scan under it, through a temporary file of another name.
+    name = "x" * 250 + ".olri"
+    (tmp_path / "base").mkdir()
+    index = tmp_path / "base" / "base.tsv"
+    index.write_text(f"{name}\ttrain\n")
+    cfg = _write_config(tmp_path, toy="false", image_height=16,
+                        image_width=64, base_vehicle_index=index,
+                        base_drone_index=index, base_quadruped_index=index)
+    sensor = cli.sensor_from_config(cli.parse_config(cfg))
+    rng = np.random.default_rng(0)
+    valid = rng.random((16, 64)) < 0.9
+    geometry.write_olri(tmp_path / "base" / "short.olri", geometry.RangeImage(
+        np.where(valid, rng.uniform(1.0, 80.0, valid.shape), 0.0),
+        rng.random(valid.shape), valid, sensor))
+    os.rename(tmp_path / "base" / "short.olri", tmp_path / "base" / name)
+    assert cli.main(["build-data", "--config", cfg]) == 0
+    records = forge.DatasetIndex.load(tmp_path / "data" / "index.tsv").records
+    assert records == [(os.path.join(dom, name), dom, "train")
+                       for dom in forge.DOMAIN_IDS]
+    assert not [p for p in (tmp_path / "data").rglob("*")
+                if p.name.endswith(".tmp")]
+
+
 def test_build_data_missing_base_names_path(tmp_path, capsys):
     cfg_path = tmp_path / "full.cfg"
     cfg_path.write_text("base_vehicle_index = /no/such/index.tsv\n"
@@ -258,7 +283,7 @@ def test_train_resume_continues_trace(trained, tmp_path):
     # after step 3 are the uninterrupted run's byte for byte.
     for name in (*written, "loss.csv"):
         assert (run / name).read_bytes() == (src_tmp / "run" / name).read_bytes()
-    assert not (run / "loss.csv.tmp").exists()
+    assert not [p for p in run.iterdir() if p.name.endswith(".tmp")]
 
 
 def test_fresh_train_replaces_another_runs_trace(trained, tmp_path):
@@ -639,14 +664,14 @@ def test_sample_seed_too_long_for_a_file_name_exits_1(trained, tmp_path,
 
 
 def test_sample_file_name_at_the_limit_is_written(trained, tmp_path):
-    # ToyNear_s<seed>_0000.olri.tmp is 255 bytes with a 232-digit seed.
+    # ToyNear_s<seed>_0000.olri is 255 bytes with a 236-digit seed.
     src_tmp, cfg = trained
     ckpt = str(src_tmp / "run" / "ckpt_final.olck")
     argv = ["sample", "--config", cfg, "--checkpoint", ckpt, "--domain",
             "ToyNear", "--steps", "2", "--out", str(tmp_path), "--seed"]
-    assert cli.main(argv + [str(10**231)]) == 0
-    assert [len(p.name) for p in tmp_path.iterdir()] == [251]
-    assert cli.main(argv + [str(10**232)]) == 1
+    assert cli.main(argv + [str(10**235)]) == 0
+    assert [len(p.name) for p in tmp_path.iterdir()] == [255]
+    assert cli.main(argv + [str(10**236)]) == 1
 
 
 def test_sample_unknown_domain_lists_known(trained, capsys):
@@ -1094,11 +1119,12 @@ def test_disk_full_write_keeps_previous_file(trained, tmp_path, monkeypatch,
     out.mkdir()
     _WRITERS[name](src_tmp, out)
     before = (out / name).read_bytes()
+    temp_name = os.path.basename(_temp_path(name))
     real_open = open
 
     def disk_full_open(file, mode="r", *args, **kwargs):
         f = real_open(file, mode, *args, **kwargs)
-        if "w" in mode and os.path.basename(file).startswith(name):
+        if "w" in mode and os.path.basename(file) == temp_name:
             return _DiskFull(f)
         return f
 

@@ -2,10 +2,12 @@
 
 import math
 import os
+import shutil
 
 import numpy as np
 import pytest
 
+from conftest import build_dataset_reference, corrupt_reference
 from rangegen import forge, geometry as geo
 from rangegen.errors import ConfigError
 
@@ -205,6 +207,62 @@ def test_corrupt_bounds_preserved():
     out = forge.corrupt(img, spec, 0, np.random.default_rng(2))
     assert np.all(out.range[out.valid] <= CFG.r_max)
     assert np.all(out.intensity >= 0.0) and np.all(out.intensity <= 1.0)
+
+
+def _odd_image(rng, cfg=CFG):
+    """A scan with every bit pattern that `read_olri` lets through: NaN
+    (with a sign or a payload), +-inf, -0.0 and negative or above-one
+    intensities, and -0.0, NaN or negative ranges on invalid pixels."""
+    img = random_image(rng, cfg, fill=0.8)
+    odd = np.array([0x7FC00000, 0xFFC00000, 0x7FC00123, 0x7F800000,
+                    0xFF800000, 0x80000000, 0x00000000, 0x00000001],
+                   np.uint32).view(np.float32)
+    odd = np.concatenate([odd, np.float32([-0.5, -3.0, 1.5, 7.0])])
+    inten = img.intensity.reshape(-1)
+    picks = rng.choice(inten.size, inten.size // 3, replace=False)
+    inten[picks] = odd[rng.integers(odd.size, size=picks.size)]
+    rng_img = img.range.reshape(-1)
+    invalid = np.flatnonzero(~img.valid)
+    rng_img[invalid] = -0.0
+    rng_img[invalid[::3]] = np.float32([np.nan, -np.inf, -2.0])[
+        rng.integers(3, size=invalid[::3].size)]
+    # Valid returns at both ends of [0, r_max], and -0.0.
+    valid = np.flatnonzero(img.valid)[:3]
+    rng_img[valid] = np.float32([-0.0, 0.0, cfg.r_max])
+    return img
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # 0 * inf
+@pytest.mark.parametrize("kind", sorted(forge.DEFAULT_SEVERITIES))
+def test_corrupt_matches_reference_bit_for_bit(kind):
+    levels = forge.DEFAULT_SEVERITIES[kind] + (
+        {"dropout_slope": 10.0, "scatter_count": 40, "scatter_range": 9.0,
+         "intensity_attenuation": 0.0},
+        {"dropout_slope": -1.0, "intensity_attenuation": 1.0},
+        {"dropout_slope": 0.0, "scatter_count": 0},
+        {})
+    spec = forge.CorruptionSpec(kind, levels)
+    rng = np.random.default_rng(20)
+    for cfg in (CFG, geo.DEFAULT_SENSOR):
+        img = _odd_image(rng, cfg)
+        before = [a.copy() for a in (img.range, img.intensity, img.valid)]
+        for severity in range(len(levels)):
+            want_rng, got_rng = (np.random.default_rng(severity)
+                                 for _ in range(2))
+            want = corrupt_reference(img, spec, severity, want_rng)
+            got = forge.corrupt(img, spec, severity, got_rng)
+            for a, b in ((got.range, want.range),
+                         (got.intensity, want.intensity)):
+                assert a.dtype == np.float32
+                np.testing.assert_array_equal(a.view(np.uint32),
+                                              b.view(np.uint32))
+            np.testing.assert_array_equal(got.valid, want.valid)
+            assert got.config == want.config
+            # The same draws, in the same order.
+            assert got_rng.random() == want_rng.random()
+        # The input scan is left as it was.
+        for a, b in zip((img.range, img.intensity, img.valid), before):
+            assert a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +521,113 @@ def test_build_dataset_removes_stale_scans_but_never_a_base_input(tmp_path):
         "notes.txt", "scan_0_16x64.olri", "scan_1_8x64.olri"]
     _, summary = forge.build_dataset(base, [spec], str(tmp_path / "out"), 0)
     assert summary["removed"] == 0
+
+
+SMALL = geo.SensorConfig(8, 32, math.radians(3.0), math.radians(-25.0), 80.0)
+
+
+def _corpus_with_every_case(root):
+    """Under `root`: a three-key base corpus of 3 scans per key at SMALL, and
+    in the vehicle corpus also an unreadable scan, one taken by another
+    sensor and one inside the Vehicle domain directory of `root/out`,
+    where an earlier build also left a stale scan and a file that is not
+    one."""
+    rng = np.random.default_rng(21)
+    base = {}
+    for key in ("vehicle", "drone", "quadruped"):
+        d = root / "base" / key
+        d.mkdir(parents=True)
+        base[key] = []
+        for i in range(3):
+            path = str(d / f"{key}_{i}.olri")
+            geo.write_olri(path, _odd_image(rng, SMALL))
+            base[key].append((path, ("train", "val")[i == 2]))
+    d = root / "base" / "vehicle"
+    (d / "unreadable.olri").write_bytes(b"garbage")
+    geo.write_olri(d / "other.olri", random_image(rng, geo.SensorConfig(
+        8, 16, SMALL.f_up, SMALL.f_down, SMALL.r_max)))
+    vehicle_dir = root / "out" / "Vehicle"
+    vehicle_dir.mkdir(parents=True)
+    geo.write_olri(vehicle_dir / "inside.olri", _odd_image(rng, SMALL))
+    (root / "out" / "Fog").mkdir()
+    (root / "out" / "Fog" / "stale.olri").write_bytes(b"stale")
+    (root / "out" / "Fog" / "notes.txt").write_text("kept")
+    base["vehicle"][1:1] = [(str(d / "unreadable.olri"), "train"),
+                            (str(d / "other.olri"), "val"),
+                            (str(vehicle_dir / "inside.olri"), "train")]
+    return base
+
+
+def _tree(root):
+    """Every file under `root` by relative path, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # 0 * inf
+def test_build_dataset_matches_reference_byte_for_byte(tmp_path):
+    specs = forge.default_domain_specs(SMALL)
+    root = tmp_path / "root"
+    results = []
+    for build in (build_dataset_reference, forge.build_dataset):
+        base = _corpus_with_every_case(root)
+        index, summary = build(base, specs, str(root / "out"), 5)
+        results.append((index.records, summary, _tree(root)))
+        shutil.rmtree(root)
+    assert results[1] == results[0]
+    want_records, want_summary, want_tree = results[0]
+    # Every case the corpus holds is in it.
+    assert want_summary["removed"] == 1 and "out/Fog/notes.txt" in want_tree
+    assert [dom for dom, count in want_summary["counts"].items()
+            if count] == list(forge.DOMAIN_IDS)
+    reasons = {path.rsplit("/", 1)[1]: reason
+               for _, path, reason in want_summary["skipped"]}
+    assert sorted(reasons) == ["other.olri", "unreadable.olri"]
+    assert "8x16 scan" in reasons["other.olri"]
+    assert ("Vehicle/inside.olri", "Vehicle", "train") in want_records
+
+
+def test_build_dataset_reads_each_base_scan_once(tmp_path, monkeypatch):
+    rng = np.random.default_rng(22)
+    n = 2
+    base = _base_corpus(tmp_path, rng, n=n)
+    reads = []
+    read_olri = forge.read_olri
+
+    def counting_read(path):
+        reads.append(path)
+        return read_olri(path)
+
+    monkeypatch.setattr(forge, "read_olri", counting_read)
+    specs = forge.default_domain_specs(
+        geo.SensorConfig(64, 64, 0.05, -0.4, 80.0))
+    index, _ = forge.build_dataset(base, specs, str(tmp_path / "out"), 0)
+    assert len(index.records) == 8 * n
+    assert len(reads) == 3 * n
+    assert sorted(reads) == sorted(p for entries in base.values()
+                                   for p, _ in entries)
+
+
+def test_build_dataset_derives_each_domain_from_the_scan_before_the_build(
+        tmp_path):
+    # A base input inside a corrupted domain's directory is written over by
+    # that domain's scan. The domains after it still derive from the base
+    # scan as it was before the build, so the tree is the one a build from
+    # a copy elsewhere writes.
+    rng = np.random.default_rng(23)
+    specs = forge.default_domain_specs(SMALL)
+    img = _odd_image(rng, SMALL)
+    trees = []
+    for where in ("out/Fog", "elsewhere"):
+        root = tmp_path / where.replace("/", "_")
+        (root / where).mkdir(parents=True)
+        path = str(root / where / "scan.olri")
+        geo.write_olri(path, img)
+        base = {"vehicle": [(path, "train")], "drone": [], "quadruped": []}
+        index, _ = forge.build_dataset(base, specs, str(root / "out"), 1)
+        assert len(index.records) == 6
+        trees.append(_tree(root / "out"))
+    assert trees[0] == trees[1]
 
 
 def test_text_that_is_not_utf8_names_file_and_byte(tmp_path):
